@@ -12,6 +12,10 @@
    - striped: the same batch sharded into contiguous row stripes on
      Sp_util.Pool domains (Dense.train_step_striped).
 
+   The real PMM inference path is held to an allocation bar: at most
+   4096 minor words per Pmm.predict_scores query (lowering, forward pass
+   and the returned score list), in both modes.
+
    Two modes, like E11:
    - full (default): long loops, the >=3x training-throughput bar of the
      acceptance criterion, plus informational numbers from the real PMM
@@ -126,7 +130,16 @@ let pmm_numbers () =
     lat.(i) <- (Unix.gettimeofday () -. s0) *. 1e6
   done;
   Array.sort compare lat;
-  (rate_j1, rate_j2, percentile lat 0.50, percentile lat 0.99)
+  (* Allocation per query, over the same (now warm) sample: minor-word
+     counts repeat exactly, so the bar on it holds on any host. *)
+  let w0 = Gc.minor_words () in
+  for i = 0 to samples - 1 do
+    ignore
+      (Snowplow.Pmm.predict_scores model ~block_embs:embs
+         evals.(i mod Array.length evals).Snowplow.Dataset.graph)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int samples in
+  (rate_j1, rate_j2, percentile lat 0.50, percentile lat 0.99, words)
 
 let run () =
   Exp_common.section
@@ -216,17 +229,21 @@ let run () =
   (* The real PMM path, informational — a reduced retrained pipeline
      (further reduced in quick mode; the emitted key set is identical
      either way, which the bench-diff gate depends on). *)
+  let pmm_words = ref 0.0 in
   let pmm_fields =
     Exp_common.log "measuring the real PMM train/inference path...";
-    let rate_j1, rate_j2, p50, p99 = pmm_numbers () in
+    let rate_j1, rate_j2, p50, p99, words = pmm_numbers () in
+    pmm_words := words;
     Exp_common.log
       "PMM trainer: %.1f samples/s (jobs=1), %.1f samples/s (jobs=2) — %d \
        core(s) available; with one core, striping only adds overhead and \
        determinism is what the gate checks"
       rate_j1 rate_j2
       (Domain.recommended_domain_count ());
-    Exp_common.log "PMM inference (predict_scores): p50 %.0f us, p99 %.0f us"
-      p50 p99;
+    Exp_common.log
+      "PMM inference (predict_scores): p50 %.0f us, p99 %.0f us, %.0f minor \
+       words/query"
+      p50 p99 words;
     [ ("pmm_train_samples_per_s_j1", rate_j1);
       ("pmm_train_samples_per_s_j2", rate_j2);
       ("pmm_infer_p50_us", p50);
@@ -246,6 +263,11 @@ let run () =
     (m_dense.words_per_step <= 64.0)
     (Printf.sprintf "%.1f minor words/step on the dense path (bound 64)"
        m_dense.words_per_step);
+  bar "PMM inference allocation"
+    (!pmm_words <= 4096.0)
+    (Printf.sprintf
+       "%.0f minor words/query through Pmm.predict_scores (bound 4096)"
+       !pmm_words);
   if quick then
     (* Sanity bar only: quick-mode loops are short enough that scheduler
        noise on a loaded 1-core CI host skews the ratio (observed 1.48x

@@ -35,6 +35,7 @@ type t = {
   kernel : Kernel.t;
   block_embs : Sp_ml.Tensor.t;
   model : Pmm.t;
+  memo : Pmm.memo;  (* layer-0 rows of [model]'s frozen weights *)
   queue : pending Fqueue.t;  (* oldest first *)
   mutable next_free : float;
   mutable served : int;
@@ -69,6 +70,7 @@ let create ?(latency = 0.69) ?(capacity_qps = 57.0) ?(max_pending = 16)
     kernel;
     block_embs;
     model;
+    memo = Pmm.memo model;
     queue = Fqueue.create ();
     next_free = 0.0;
     served = 0;
@@ -96,7 +98,7 @@ let predict_now t prog ~targets =
   if result.Kernel.crash <> None then []
   else begin
     let graph = Query_graph.build t.kernel prog ~result ~targets in
-    Pmm.predict t.model ~block_embs:t.block_embs graph
+    Pmm.predict ~memo:t.memo t.model ~block_embs:t.block_embs graph
   end
 
 let targets_key prog targets =

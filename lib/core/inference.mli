@@ -33,7 +33,9 @@ val create :
     the same desired coverage is answered from the memo at zero service
     cost, while any change in the uncovered frontier produces a fresh
     query. [kernel] is the kernel being fuzzed (used to rebuild the query
-    graph). [metrics] is the registry service counters/timers are recorded
+    graph). The service owns a {!Pmm.memo} of the model's layer-0 rows for
+    its whole life, filled lazily and bounded by the number of distinct
+    layer-0 keys, so the model's weights must not change after [create]. [metrics] is the registry service counters/timers are recorded
     into (a private one is created when omitted). [tracer] (default
     disabled) records an [inference.batch] span and an
     [inference.pending] queue-depth counter per {!request_batch}; it must

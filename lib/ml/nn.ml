@@ -1,11 +1,14 @@
 module Linear = struct
-  type t = { w : Ad.t; b : Ad.t option }
+  (* [b_value] caches [Option.map Ad.value b] (parameter values are
+     fixed tensors), so {!bias} allocates nothing on inference paths. *)
+  type t = { w : Ad.t; b : Ad.t option; b_value : Tensor.t option }
+
+  let make w b = { w; b; b_value = Option.map Ad.value b }
 
   let create ?(bias = true) rng d_in d_out =
-    {
-      w = Ad.param (Tensor.glorot rng d_in d_out);
-      b = (if bias then Some (Ad.param (Tensor.create 1 d_out)) else None);
-    }
+    make
+      (Ad.param (Tensor.glorot rng d_in d_out))
+      (if bias then Some (Ad.param (Tensor.create 1 d_out)) else None)
 
   let apply t x =
     let y = Ad.matmul x t.w in
@@ -15,13 +18,13 @@ module Linear = struct
 
   let weight t = Ad.value t.w
 
-  let bias t = Option.map Ad.value t.b
+  let bias t = t.b_value
 
   (* Fresh parameter leaves over the SAME value tensors: a stripe worker
      clone accumulates private gradients while reading (and seeing
      updates to) the primary's weights. *)
   let clone_shared t =
-    { w = Ad.param (Ad.value t.w); b = Option.map (fun b -> Ad.param (Ad.value b)) t.b }
+    make (Ad.param (Ad.value t.w)) (Option.map (fun b -> Ad.param (Ad.value b)) t.b)
 end
 
 module Embedding = struct

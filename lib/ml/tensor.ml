@@ -13,7 +13,15 @@
      from the domain's ambient {!Workspace} when one is active, so a
      steady-state train/inference step reuses warm buffers instead of
      churning the minor heap. Initializers ([glorot]/[randn]) always
-     heap-allocate — parameters outlive any workspace generation. *)
+     heap-allocate — parameters outlive any workspace generation.
+
+   Hot per-element loops live in this module, never in its callers. Dev
+   builds compile with [-opaque], so [get]/[set] called from another
+   module are out-of-line calls that box every float they return or
+   take; the same loop written here over [unsafe_get]/[unsafe_set]
+   allocates nothing. A caller that needs a new loop shape (a gather, a
+   scatter, a masked update) gets a fused kernel below, next to
+   [matmul_into]. *)
 
 type buffer = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -189,28 +197,165 @@ let map_into ~dst f src =
     A1.unsafe_set dst.data i (f (A1.unsafe_get src.data i))
   done
 
-let matmul_into ~dst a b =
-  if a.cols <> b.rows || dst.rows <> a.rows || dst.cols <> b.cols then
-    invalid_arg "Tensor.matmul_into: shape mismatch";
-  let n = a.rows and k = a.cols and m = b.cols in
-  let ad = a.data and bd = b.data and dd = dst.data in
-  for i = 0 to n - 1 do
-    let abase = i * k and dbase = i * m in
+(* [dd] row at [dbase] += ([ad] row at [abase]) * [bd] ([k] x [m]).
+   Every output element starts from its current value and adds
+   [av * b] for ascending [l], skipping [av = 0.0] — matmul's fixed IEEE
+   sequence. Four output columns are carried in registers at a time
+   (non-escaping float refs are unboxed), which keeps that sequence per
+   element while cutting the loads and stores of a column-inner loop.
+   The buffer annotations keep the accesses unboxed. *)
+let matmul_row_acc (dd : buffer) dbase (ad : buffer) abase k (bd : buffer) m =
+  let j0 = ref 0 in
+  while !j0 + 4 <= m do
+    let j = !j0 in
+    let c0 = ref (A1.unsafe_get dd (dbase + j))
+    and c1 = ref (A1.unsafe_get dd (dbase + j + 1))
+    and c2 = ref (A1.unsafe_get dd (dbase + j + 2))
+    and c3 = ref (A1.unsafe_get dd (dbase + j + 3)) in
     for l = 0 to k - 1 do
       let av = A1.unsafe_get ad (abase + l) in
       if av <> 0.0 then begin
-        let bbase = l * m in
-        for j = 0 to m - 1 do
-          A1.unsafe_set dd (dbase + j) (A1.unsafe_get dd (dbase + j) +. (av *. A1.unsafe_get bd (bbase + j)))
-        done
+        let b = (l * m) + j in
+        c0 := !c0 +. (av *. A1.unsafe_get bd b);
+        c1 := !c1 +. (av *. A1.unsafe_get bd (b + 1));
+        c2 := !c2 +. (av *. A1.unsafe_get bd (b + 2));
+        c3 := !c3 +. (av *. A1.unsafe_get bd (b + 3))
       end
-    done
+    done;
+    A1.unsafe_set dd (dbase + j) !c0;
+    A1.unsafe_set dd (dbase + j + 1) !c1;
+    A1.unsafe_set dd (dbase + j + 2) !c2;
+    A1.unsafe_set dd (dbase + j + 3) !c3;
+    j0 := j + 4
+  done;
+  for j = !j0 to m - 1 do
+    let c = ref (A1.unsafe_get dd (dbase + j)) in
+    for l = 0 to k - 1 do
+      let av = A1.unsafe_get ad (abase + l) in
+      if av <> 0.0 then c := !c +. (av *. A1.unsafe_get bd ((l * m) + j))
+    done;
+    A1.unsafe_set dd (dbase + j) !c
+  done
+
+let matmul_into ~dst a b =
+  if a.cols <> b.rows || dst.rows <> a.rows || dst.cols <> b.cols then
+    invalid_arg "Tensor.matmul_into: shape mismatch";
+  let k = a.cols and m = b.cols in
+  for i = 0 to a.rows - 1 do
+    matmul_row_acc dst.data (i * m) a.data (i * k) k b.data m
   done
 
 let matmul a b =
   let dst = create a.rows b.cols in
   matmul_into ~dst a b;
   dst
+
+(* Row-indexed kernels: the gathers, scatters and per-row products of a
+   graph network's message passing. Each validates shapes once and every
+   row index it dereferences, then runs its element loops unchecked. Each
+   output element sees the same IEEE operations, in the same order, as
+   the unfused gather-then-[matmul]/[add_into] sequence it replaces. *)
+
+let check_row name t r = if r < 0 || r >= t.rows then invalid_arg name
+
+(* A zeroed row, then [matmul_row_acc]: one row of a plain product. *)
+let matmul_row (dd : buffer) dbase (ad : buffer) abase k (bd : buffer) m =
+  for j = 0 to m - 1 do
+    A1.unsafe_set dd (dbase + j) 0.0
+  done;
+  matmul_row_acc dd dbase ad abase k bd m
+
+let matmul_row_into ~dst ~row a ~a_row b =
+  if a.cols <> b.rows || dst.cols <> b.cols then
+    invalid_arg "Tensor.matmul_row_into: shape mismatch";
+  check_row "Tensor.matmul_row_into: row out of range" dst row;
+  check_row "Tensor.matmul_row_into: row out of range" a a_row;
+  matmul_row dst.data (row * dst.cols) a.data (a_row * a.cols) a.cols b.data b.cols
+
+let check_range name t idx ~off ~len =
+  if off < 0 || len < 0 || off + len > Array.length idx || off + len > t.rows then
+    invalid_arg name
+
+let matmul_gather_into ~dst a idx ~off ~len b =
+  if a.cols <> b.rows || dst.cols <> b.cols then
+    invalid_arg "Tensor.matmul_gather_into: shape mismatch";
+  check_range "Tensor.matmul_gather_into: index range" dst idx ~off ~len;
+  for i = off to off + len - 1 do
+    let r = idx.(i) in
+    check_row "Tensor.matmul_gather_into: row out of range" a r;
+    matmul_row dst.data (i * dst.cols) a.data (r * a.cols) a.cols b.data b.cols
+  done
+
+let gather_rows_into ~dst src idx ~off ~len =
+  if dst.cols <> src.cols then invalid_arg "Tensor.gather_rows_into: shape mismatch";
+  check_range "Tensor.gather_rows_into: index range" dst idx ~off ~len;
+  let c = dst.cols in
+  for i = off to off + len - 1 do
+    let r = idx.(i) in
+    check_row "Tensor.gather_rows_into: row out of range" src r;
+    for j = 0 to c - 1 do
+      A1.unsafe_set dst.data ((i * c) + j) (A1.unsafe_get src.data ((r * c) + j))
+    done
+  done
+
+let copy_row_into ~dst ~row src ~src_row =
+  if dst.cols <> src.cols then invalid_arg "Tensor.copy_row_into: shape mismatch";
+  check_row "Tensor.copy_row_into: row out of range" dst row;
+  check_row "Tensor.copy_row_into: row out of range" src src_row;
+  let c = dst.cols in
+  for j = 0 to c - 1 do
+    A1.unsafe_set dst.data ((row * c) + j) (A1.unsafe_get src.data ((src_row * c) + j))
+  done
+
+let add_row_into ~dst ~row src ~src_row =
+  if dst.cols <> src.cols then invalid_arg "Tensor.add_row_into: shape mismatch";
+  check_row "Tensor.add_row_into: row out of range" dst row;
+  check_row "Tensor.add_row_into: row out of range" src src_row;
+  let c = dst.cols and dbase = row * dst.cols and sbase = src_row * src.cols in
+  for j = 0 to c - 1 do
+    A1.unsafe_set dst.data (dbase + j) (A1.unsafe_get dst.data (dbase + j) +. A1.unsafe_get src.data (sbase + j))
+  done
+
+let scatter_add_into ~dst ~rows ~coef src ~src_rows ~off ~len =
+  if dst.cols <> src.cols then invalid_arg "Tensor.scatter_add_into: shape mismatch";
+  if off < 0 || len < 0
+     || off + len > Array.length rows
+     || off + len > Array.length coef
+     || off + len > Array.length src_rows
+  then invalid_arg "Tensor.scatter_add_into: index range";
+  let c = dst.cols in
+  for e = off to off + len - 1 do
+    let d = rows.(e) and s = src_rows.(e) and k = coef.(e) in
+    check_row "Tensor.scatter_add_into: row out of range" dst d;
+    check_row "Tensor.scatter_add_into: row out of range" src s;
+    let dbase = d * c and sbase = s * c in
+    for j = 0 to c - 1 do
+      A1.unsafe_set dst.data (dbase + j) (A1.unsafe_get dst.data (dbase + j) +. (k *. A1.unsafe_get src.data (sbase + j)))
+    done
+  done
+
+let relu_inplace t =
+  for i = 0 to numel t - 1 do
+    if A1.unsafe_get t.data i < 0.0 then A1.unsafe_set t.data i 0.0
+  done
+
+let rowdot_into ~dst ~scale a ~a_rows b ~b_rows =
+  if dst.cols <> 1 || a.cols <> b.cols then invalid_arg "Tensor.rowdot_into: shape mismatch";
+  if dst.rows > Array.length a_rows || dst.rows > Array.length b_rows then
+    invalid_arg "Tensor.rowdot_into: index range";
+  let d = a.cols in
+  (* Hoisted accumulator, as in [matmul_nt_into]. *)
+  let acc = ref 0.0 in
+  for i = 0 to dst.rows - 1 do
+    let ar = a_rows.(i) and br = b_rows.(i) in
+    check_row "Tensor.rowdot_into: row out of range" a ar;
+    check_row "Tensor.rowdot_into: row out of range" b br;
+    acc := 0.0;
+    for j = 0 to d - 1 do
+      acc := !acc +. (A1.unsafe_get a.data ((ar * d) + j) *. A1.unsafe_get b.data ((br * d) + j))
+    done;
+    A1.unsafe_set dst.data i (A1.unsafe_get dst.data i +. (scale *. !acc))
+  done
 
 let matmul_tn_into ~dst a b =
   (* dst += (a^T b): a is k x n, b is k x m, dst n x m. The l-outer loop

@@ -96,6 +96,59 @@ val matmul_into : dst:t -> t -> t -> unit
 (** [dst += a*b]; [dst] must be pre-sized (and zeroed for a plain
     product). *)
 
+(** {1 Row-indexed kernels}
+
+    The gathers, scatters and per-row products of graph message passing,
+    fused so that callers outside this module never loop over elements
+    (see the note at the top of [tensor.ml]). Every row index is
+    validated ([Invalid_argument] when out of range). Each output element
+    sees the same IEEE operations, in the same order, as the unfused
+    gather / {!matmul} / {!add_into} sequence it replaces — including
+    {!matmul}'s skip of zero left-hand entries. *)
+
+val matmul_row_into : dst:t -> row:int -> t -> a_row:int -> t -> unit
+(** [matmul_row_into ~dst ~row a ~a_row b]: [dst] row [row] <- ([a] row
+    [a_row]) * [b] (overwrites that row). *)
+
+val matmul_gather_into :
+  dst:t -> t -> int array -> off:int -> len:int -> t -> unit
+(** [matmul_gather_into ~dst a idx ~off ~len b]: for [i] from [off] to
+    [off + len - 1], [dst] row [i] <- ([a] row [idx.(i)]) * [b]
+    (overwrites). *)
+
+val gather_rows_into : dst:t -> t -> int array -> off:int -> len:int -> unit
+(** [gather_rows_into ~dst src idx ~off ~len]: for [i] from [off] to
+    [off + len - 1], [dst] row [i] <- [src] row [idx.(i)]. *)
+
+val copy_row_into : dst:t -> row:int -> t -> src_row:int -> unit
+(** [dst] row [row] <- [src] row [src_row]. *)
+
+val add_row_into : dst:t -> row:int -> t -> src_row:int -> unit
+(** [dst] row [row] += [src] row [src_row]. *)
+
+val scatter_add_into :
+  dst:t ->
+  rows:int array ->
+  coef:float array ->
+  t ->
+  src_rows:int array ->
+  off:int ->
+  len:int ->
+  unit
+(** [scatter_add_into ~dst ~rows ~coef src ~src_rows ~off ~len]: for [e]
+    from [off] to [off + len - 1] in ascending order, [dst] row
+    [rows.(e)] += [coef.(e)] * ([src] row [src_rows.(e)]). Repeated
+    destination rows accumulate in that order. *)
+
+val relu_inplace : t -> unit
+(** Every entry [< 0.0] becomes [0.0] ([-0.0] and NaN are kept). *)
+
+val rowdot_into :
+  dst:t -> scale:float -> t -> a_rows:int array -> t -> b_rows:int array -> unit
+(** [dst] is [n x 1]; for every [i < n], [dst.(i)] += [scale] * (the dot
+    product of [a] row [a_rows.(i)] and [b] row [b_rows.(i)], summed from
+    [0.0] in ascending column order). *)
+
 val matmul_tn : t -> t -> t
 (** [transpose a * b] without materializing the transpose. *)
 

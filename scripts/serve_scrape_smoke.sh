@@ -24,7 +24,10 @@ plan_args=""
 if [ -n "$fault_plan" ]; then
   plan_args="--fault-plan $fault_plan"
 fi
-tmp="${TMPDIR:-/tmp}/snowplow-ci-scrape"
+# One directory per roster: @ci runs the rules for different rosters
+# concurrently, and a shared directory let one run wipe the other's
+# files.
+tmp="${TMPDIR:-/tmp}/snowplow-ci-scrape-$(basename "$roster" .json)"
 rm -rf "$tmp"
 mkdir -p "$tmp"
 

@@ -115,6 +115,166 @@ let prop_initializers_bit_identical =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Row-indexed kernels against naive loops                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Entries that exercise the zero skip and signed zeros next to ordinary
+   values. *)
+let special rng =
+  match Rng.int rng 6 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | _ -> Rng.gaussian rng
+
+let special_tensor rng rows cols =
+  let data = Array.init (rows * cols) (fun _ -> special rng) in
+  (Tensor.of_array ~rows ~cols data, data)
+
+(* Row [r] of a row-major float array. *)
+let row_of data cols r = Array.sub data (r * cols) cols
+
+(* The unfused product of one row, on the frozen float-array core. *)
+let ref_row_product a_row (b, b_data) =
+  let k, m = Tensor.dims b in
+  let p =
+    Reference.matmul
+      (Reference.of_array ~rows:1 ~cols:k (Array.copy a_row))
+      (Reference.of_array ~rows:k ~cols:m (Array.copy b_data))
+  in
+  p.Reference.data
+
+let check_row_bits name (t : Tensor.t) i expected =
+  Array.iteri
+    (fun j v ->
+      let got = Tensor.get t i j in
+      if bits got <> bits v then
+        Alcotest.failf "%s: row %d col %d: %h, expected %h" name i j got v)
+    expected
+
+let check_tensor_bits name (t : Tensor.t) expected =
+  let _, cols = Tensor.dims t in
+  Array.iteri (fun i _ -> check_row_bits name t i (row_of expected cols i))
+    (Array.make (Array.length expected / max 1 cols) ())
+
+let prop_row_kernels_match_naive =
+  QCheck.Test.make ~count:400 ~name:"row-indexed kernels equal naive loops"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (seed + 11) in
+      let n = 1 + Rng.int rng 6 and k = 1 + Rng.int rng 7 and m = 1 + Rng.int rng 9 in
+      let a, a_data = special_tensor rng n k in
+      let b = special_tensor rng k m in
+      (* Index arrays may be empty and may repeat rows. *)
+      let len = Rng.int rng 6 and off = Rng.int rng 3 in
+      let idx = Array.init (off + len) (fun _ -> Rng.int rng n) in
+      let rows = off + len in
+      let init_dst () = special_tensor rng rows m in
+      (* matmul_gather_into: rows [off, off + len) overwritten, the rest kept. *)
+      let dst, before = init_dst () in
+      Tensor.matmul_gather_into ~dst a idx ~off ~len (fst b);
+      for i = 0 to rows - 1 do
+        check_row_bits "matmul_gather_into" dst i
+          (if i >= off then ref_row_product (row_of a_data k idx.(i)) b
+           else row_of before m i)
+      done;
+      (* matmul_row_into *)
+      if rows > 0 then begin
+        let dst, _ = init_dst () in
+        let r = Rng.int rng rows and ar = Rng.int rng n in
+        Tensor.matmul_row_into ~dst ~row:r a ~a_row:ar (fst b);
+        check_row_bits "matmul_row_into" dst r (ref_row_product (row_of a_data k ar) b)
+      end;
+      (* matmul_into accumulates onto the existing contents. *)
+      let dst, before = special_tensor rng n m in
+      Tensor.matmul_into ~dst a (fst b);
+      let r_dst = Reference.of_array ~rows:n ~cols:m (Array.copy before) in
+      Reference.matmul_into ~dst:r_dst
+        (Reference.of_array ~rows:n ~cols:k (Array.copy a_data))
+        (Reference.of_array ~rows:k ~cols:m (Array.copy (snd b)));
+      check_tensor_bits "matmul_into" dst r_dst.Reference.data;
+      (* gather_rows_into *)
+      let dst, before = special_tensor rng rows k in
+      Tensor.gather_rows_into ~dst a idx ~off ~len;
+      for i = 0 to rows - 1 do
+        check_row_bits "gather_rows_into" dst i
+          (if i >= off then row_of a_data k idx.(i) else row_of before k i)
+      done;
+      (* scatter_add_into: repeated destinations accumulate in edge order. *)
+      let dst, acc = special_tensor rng n k in
+      let ne = Rng.int rng 8 in
+      let d_rows = Array.init ne (fun _ -> Rng.int rng n)
+      and s_rows = Array.init ne (fun _ -> Rng.int rng n)
+      and coef = Array.init ne (fun _ -> special rng) in
+      let eoff = if ne = 0 then 0 else Rng.int rng ne in
+      let elen = ne - eoff in
+      Tensor.scatter_add_into ~dst ~rows:d_rows ~coef a ~src_rows:s_rows ~off:eoff
+        ~len:elen;
+      for e = eoff to ne - 1 do
+        for j = 0 to k - 1 do
+          let i = (d_rows.(e) * k) + j in
+          acc.(i) <- acc.(i) +. (coef.(e) *. a_data.((s_rows.(e) * k) + j))
+        done
+      done;
+      check_tensor_bits "scatter_add_into" dst acc;
+      (* copy_row_into / add_row_into *)
+      let dst, acc = special_tensor rng n k in
+      let r = Rng.int rng n and sr = Rng.int rng n in
+      Tensor.add_row_into ~dst ~row:r a ~src_row:sr;
+      for j = 0 to k - 1 do
+        acc.((r * k) + j) <- acc.((r * k) + j) +. a_data.((sr * k) + j)
+      done;
+      check_tensor_bits "add_row_into" dst acc;
+      Tensor.copy_row_into ~dst ~row:r a ~src_row:sr;
+      Array.blit a_data (sr * k) acc (r * k) k;
+      check_tensor_bits "copy_row_into" dst acc;
+      (* relu_inplace keeps -0.0 *)
+      let t, data = special_tensor rng n k in
+      Tensor.relu_inplace t;
+      check_tensor_bits "relu_inplace" t
+        (Array.map (fun x -> if x < 0.0 then 0.0 else x) data);
+      (* rowdot_into: dot summed from 0.0, then scaled and added. *)
+      let dst, acc = special_tensor rng rows 1 in
+      let a_rows = Array.init rows (fun _ -> Rng.int rng n)
+      and b_rows = Array.init rows (fun _ -> Rng.int rng n) in
+      let scale = special rng in
+      Tensor.rowdot_into ~dst ~scale a ~a_rows a ~b_rows;
+      for i = 0 to rows - 1 do
+        let dot = ref 0.0 in
+        for j = 0 to k - 1 do
+          dot := !dot +. (a_data.((a_rows.(i) * k) + j) *. a_data.((b_rows.(i) * k) + j))
+        done;
+        acc.(i) <- acc.(i) +. (scale *. !dot)
+      done;
+      check_tensor_bits "rowdot_into" dst acc;
+      true)
+
+let test_row_kernel_edges () =
+  (* The zero skip: a zero (of either sign) left-hand entry never meets
+     its row of [b], so an infinity there cannot turn into a NaN. *)
+  let a = Tensor.of_array ~rows:2 ~cols:2 [| -0.0; 2.0; 0.0; -0.0 |] in
+  let b = Tensor.of_array ~rows:2 ~cols:2 [| infinity; 1.0; -3.0; 0.5 |] in
+  let dst = Tensor.make 2 2 7.0 in
+  Tensor.matmul_gather_into ~dst a [| 0; 1 |] ~off:0 ~len:2 b;
+  check_row_bits "skip" dst 0 [| -6.0; 1.0 |];
+  (* An all-zero row is a fresh +0.0, never -0.0. *)
+  check_row_bits "zero row" dst 1 [| 0.0; 0.0 |];
+  (* Empty ranges touch nothing. *)
+  let before = Tensor.to_array dst in
+  Tensor.matmul_gather_into ~dst a [||] ~off:0 ~len:0 b;
+  Tensor.gather_rows_into ~dst a [||] ~off:0 ~len:0;
+  Tensor.scatter_add_into ~dst ~rows:[||] ~coef:[||] a ~src_rows:[||] ~off:0 ~len:0;
+  Tensor.rowdot_into ~dst:(Tensor.create 0 1) ~scale:1.0 a ~a_rows:[||] a ~b_rows:[||];
+  Alcotest.(check bool) "empty ranges are no-ops" true (before = Tensor.to_array dst);
+  (* Out-of-range rows are rejected, not read. *)
+  Alcotest.check_raises "gather row out of range"
+    (Invalid_argument "Tensor.gather_rows_into: row out of range") (fun () ->
+      Tensor.gather_rows_into ~dst a [| 2 |] ~off:0 ~len:1);
+  Alcotest.check_raises "scatter range past the index array"
+    (Invalid_argument "Tensor.scatter_add_into: index range") (fun () ->
+      Tensor.scatter_add_into ~dst ~rows:[| 0 |] ~coef:[| 1.0 |] a ~src_rows:[| 0 |]
+        ~off:0 ~len:2)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end: Dense (batched) == Reference.Mlp (per-sample), exactly.  *)
 (* ------------------------------------------------------------------ *)
 
@@ -295,6 +455,10 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "sp_ml differential"
     [ ("ops", qsuite [ prop_ops_bit_identical; prop_initializers_bit_identical ]);
+      ("kernels",
+        qsuite [ prop_row_kernels_match_naive ]
+        @ [ Alcotest.test_case "zero skip, empty ranges, bounds" `Quick
+              test_row_kernel_edges ]);
       ("train", qsuite [ prop_train_bit_identical ]);
       ("striped", [ Alcotest.test_case "determinism" `Quick test_striped_determinism ]);
       ("serialize",

@@ -143,6 +143,288 @@ let prop_predict_mutable_paths =
           | _ -> true)
         predicted)
 
+(* ------------------------------------------------------------------ *)
+(* Test-side oracle: the per-element tape-free forward pass             *)
+(* ------------------------------------------------------------------ *)
+
+(* The PMM's tape-free forward pass written independently of [Pmm]'s
+   lowering, memo and kernels: per-element loops over plain float arrays,
+   straight from the query graph, in graph node order. Every sum is
+   accumulated in the order the model fixes (self map, then relations in
+   index order, each relation's edges in reverse graph order; matmul rows
+   from 0.0 with zero left-hand entries skipped), so its logits must
+   equal [Pmm.infer_logits] bit for bit. *)
+module Oracle = struct
+  let num_relations = 2 * QG.num_edge_kinds
+
+  type weights = {
+    block_w : Tensor.t;
+    block_b : Tensor.t;
+    sys : Tensor.t;
+    kind : Tensor.t;
+    sig_ : Tensor.t;
+    nodekind : Tensor.t;
+    rel : Tensor.t array;
+    self_w : Tensor.t;
+    self_b : Tensor.t;
+    head_w : Tensor.t;
+    head_b : Tensor.t;
+    wq : Tensor.t;
+    wk : Tensor.t;
+  }
+
+  (* [Pmm.params] order: block_proj, the four embeddings, the relation
+     maps, self_map, head, wq_t, wk_t. *)
+  let weights model =
+    let shared = (Pmm.config model).Pmm.share_relations in
+    let nrel = if shared then 1 else num_relations in
+    match List.map Sp_ml.Ad.value (Pmm.params model) with
+    | block_w :: block_b :: sys :: kind :: sig_ :: nodekind :: rest ->
+      let rels = List.filteri (fun i _ -> i < nrel) rest in
+      (match List.filteri (fun i _ -> i >= nrel) rest with
+      | [ self_w; self_b; head_w; head_b; wq; wk ] ->
+        let rel = Array.of_list rels in
+        { block_w; block_b; sys; kind; sig_; nodekind;
+          rel = Array.init num_relations (fun r -> rel.(if shared then 0 else r));
+          self_w; self_b; head_w; head_b; wq; wk }
+      | _ -> failwith "Oracle.weights: unexpected parameter layout")
+    | _ -> failwith "Oracle.weights: unexpected parameter layout"
+
+  let kind_index k =
+    let rec go i = function
+      | [] -> 0
+      | x :: rest -> if x = k then i else go (i + 1) rest
+    in
+    go 0 Sp_syzlang.Ty.all_kind_tokens
+
+  let row t i = Array.init (snd (Tensor.dims t)) (fun j -> Tensor.get t i j)
+
+  (* x * w from 0.0, skipping zero entries of x, ascending l. *)
+  let vecmat x w =
+    let k, m = Tensor.dims w in
+    let out = Array.make m 0.0 in
+    for l = 0 to k - 1 do
+      let av = x.(l) in
+      if av <> 0.0 then
+        for j = 0 to m - 1 do
+          out.(j) <- out.(j) +. (av *. Tensor.get w l j)
+        done
+    done;
+    out
+
+  let add_bias v b = Array.mapi (fun j x -> x +. Tensor.get b 0 j) v
+
+  let vadd a b = Array.mapi (fun j x -> x +. b.(j)) a
+
+  let logits model ~block_embs (g : QG.t) =
+    let w = weights model in
+    let d = (Pmm.config model).Pmm.hidden in
+    let nodes = g.QG.nodes and edges = g.QG.edges in
+    let n = Array.length nodes in
+    let x0 =
+      Array.map
+        (fun node ->
+          let nk, feat =
+            match node with
+            | QG.Syscall { sys_id; _ } -> (0, row w.sys sys_id)
+            | QG.Arg { kind; detail_sig; _ } ->
+              (1, vadd (row w.kind (kind_index kind)) (row w.sig_ detail_sig))
+            | QG.Covered_block b | QG.Alt_block b | QG.Target_block b ->
+              let k =
+                match node with
+                | QG.Covered_block _ -> 2
+                | QG.Alt_block _ -> 3
+                | _ -> 4
+              in
+              (k, add_bias (vecmat (row block_embs b) w.block_w) w.block_b)
+          in
+          vadd (row w.nodekind nk) feat)
+        nodes
+    in
+    (* Relation r < K carries edges of kind r forward, r + K backward;
+       edges in reverse graph order. *)
+    let relation r =
+      let k = r mod QG.num_edge_kinds and back = r >= QG.num_edge_kinds in
+      let acc = ref [] in
+      Array.iter
+        (fun (s, t, kind) ->
+          if QG.edge_kind_index kind = k then
+            acc := (if back then (t, s) else (s, t)) :: !acc)
+        edges;
+      let pairs = !acc in
+      let indeg = Array.make n 0 in
+      List.iter (fun (_, t) -> indeg.(t) <- indeg.(t) + 1) pairs;
+      List.map (fun (s, t) -> (s, t, 1.0 /. float_of_int indeg.(t))) pairs
+    in
+    let relations = Array.init num_relations relation in
+    let layer h =
+      let acc = Array.map (fun x -> add_bias (vecmat x w.self_w) w.self_b) h in
+      Array.iteri
+        (fun r pairs ->
+          List.iter
+            (fun (s, t, c) ->
+              let msg = vecmat h.(s) w.rel.(r) in
+              acc.(t) <- Array.mapi (fun j x -> x +. (c *. msg.(j))) acc.(t))
+            pairs)
+        relations;
+      Array.map (Array.map (fun x -> if x < 0.0 then 0.0 else x)) acc
+    in
+    let h = ref x0 in
+    for _ = 1 to (Pmm.config model).Pmm.layers do
+      h := layer !h
+    done;
+    let args =
+      List.filter_map
+        (fun i -> match nodes.(i) with QG.Arg { path; _ } -> Some (i, path) | _ -> None)
+        (List.init n Fun.id)
+    in
+    let out =
+      Array.of_list
+        (List.map (fun (i, _) -> (add_bias (vecmat !h.(i) w.head_w) w.head_b).(0)) args)
+    in
+    (* Target-conditioned interaction over the sorted (via, call) pairs. *)
+    let call_of i = match nodes.(i) with QG.Syscall { call; _ } -> Some call | _ -> None in
+    let is_target i = match nodes.(i) with QG.Target_block _ -> true | _ -> false in
+    let pairs =
+      Array.to_list edges
+      |> List.concat_map (fun (via, tgt, kind) ->
+             if kind <> QG.Cf_frontier || not (is_target tgt) then []
+             else
+               Array.to_list edges
+               |> List.filter_map (fun (c, t, k) ->
+                      if k = QG.Handler && t = tgt then
+                        Option.map (fun slot -> (via, slot)) (call_of c)
+                      else None))
+      |> List.sort_uniq compare
+    in
+    if pairs <> [] then begin
+      let n_calls = Array.fold_left (fun a nd -> match nd with QG.Syscall _ -> a + 1 | _ -> a) 0 nodes in
+      let deg = Array.make n_calls 0 in
+      List.iter (fun (_, slot) -> deg.(slot) <- deg.(slot) + 1) pairs;
+      let pooled = Array.make_matrix n_calls d 0.0 in
+      List.iter
+        (fun (via, slot) ->
+          let c = 1.0 /. float_of_int deg.(slot) in
+          pooled.(slot) <- Array.mapi (fun j x -> x +. (c *. x0.(via).(j))) pooled.(slot))
+        pairs;
+      let kv = Array.map (fun p -> vecmat p w.wk) pooled in
+      let scale = 1.0 /. sqrt (float_of_int d) in
+      List.iteri
+        (fun a (i, (path : Prog.path)) ->
+          let q = vecmat x0.(i) w.wq in
+          let dot = ref 0.0 in
+          for j = 0 to d - 1 do
+            dot := !dot +. (q.(j) *. kv.(path.Prog.call).(j))
+          done;
+          out.(a) <- out.(a) +. (scale *. !dot))
+        args
+    end;
+    out
+end
+
+(* The benchmark kernel, an untrained model and random block embeddings:
+   bit-identity does not depend on the weights being trained. *)
+let big_kernel = Kernel.linux_like ~seed:7 ~version:"6.8"
+
+let big_db = Kernel.spec_db big_kernel
+
+let big_model =
+  Pmm.create ~encoder_dim:16 ~num_syscalls:(Sp_syzlang.Spec.count big_db) ()
+
+let big_embs =
+  Tensor.randn (Rng.create 5) 1.0 (Kernel.num_blocks big_kernel) 16
+
+let big_graph seed =
+  let rng = Rng.create seed in
+  let prog = Gen.program rng big_db () in
+  let result = Kernel.execute big_kernel prog in
+  let targets =
+    List.filteri (fun i _ -> i < 5 + (seed mod 20))
+      (List.map fst (QG.frontier_blocks big_kernel result))
+  in
+  QG.build big_kernel prog ~result ~targets
+
+(* [Pmm.predict]'s contract from the graph alone: scores of the mutable
+   argument paths (looked up by path), those clearing the threshold,
+   else the first best-scoring one. *)
+let oracle_predict model (g : QG.t) logits =
+  let is_mutable = Hashtbl.create 64 in
+  Array.iter
+    (function
+      | QG.Arg { path; mutable_node; _ } ->
+        Hashtbl.replace is_mutable (path.Prog.call, path.Prog.arg) mutable_node
+      | _ -> ())
+    g.QG.nodes;
+  let scores =
+    List.filter_map
+      (fun ((path : Prog.path), l) ->
+        if Hashtbl.find is_mutable (path.Prog.call, path.Prog.arg) then
+          Some (path, 1.0 /. (1.0 +. exp (-.l)))
+        else None)
+      (List.combine
+         (List.filter_map
+            (function QG.Arg { path; _ } -> Some path | _ -> None)
+            (Array.to_list g.QG.nodes))
+         (Array.to_list logits))
+  in
+  match List.filter (fun (_, s) -> s >= Pmm.threshold model) scores with
+  | [] -> (
+    match
+      List.fold_left
+        (fun best (p, s) ->
+          match best with Some (_, bs) when bs >= s -> best | _ -> Some (p, s))
+        None scores
+    with
+    | Some (p, _) -> [ p ]
+    | None -> [])
+  | picked -> List.map fst picked
+
+let same_bits oracle (t : Tensor.t) =
+  fst (Tensor.dims t) = Array.length oracle
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i v -> Int64.bits_of_float v = Int64.bits_of_float (Tensor.get t i 0))
+          oracle)
+
+(* One memo across every sampled graph, as an inference service holds it. *)
+let shared_memo = Pmm.memo big_model
+
+let prop_infer_matches_oracle_shared_memo =
+  QCheck.Test.make ~count:200
+    ~name:"tape-free logits equal the per-element oracle bit for bit (shared memo)"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let g = big_graph seed in
+      same_bits
+        (Oracle.logits big_model ~block_embs:big_embs g)
+        (Pmm.infer_logits ~memo:shared_memo big_model ~block_embs:big_embs
+           (Pmm.prepare g)))
+
+let prop_infer_matches_oracle_fresh_memo =
+  QCheck.Test.make ~count:200
+    ~name:"tape-free logits equal the per-element oracle bit for bit (fresh memo)"
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let g = big_graph seed in
+      let oracle = Oracle.logits big_model ~block_embs:big_embs g in
+      let p = Pmm.prepare g in
+      same_bits oracle
+        (Pmm.infer_logits ~memo:(Pmm.memo big_model) big_model ~block_embs:big_embs p)
+      && same_bits oracle (Pmm.infer_logits big_model ~block_embs:big_embs p)
+      && Pmm.predict big_model ~block_embs:big_embs g
+         = oracle_predict big_model g oracle)
+
+let test_memo_rejects_other_embeddings () =
+  let g = big_graph 1 in
+  let memo = Pmm.memo big_model in
+  ignore (Pmm.infer_logits ~memo big_model ~block_embs:big_embs (Pmm.prepare g));
+  Alcotest.check_raises "other block embeddings"
+    (Invalid_argument "Pmm.infer_logits: memo holds rows of other block embeddings")
+    (fun () ->
+      ignore
+        (Pmm.infer_logits ~memo big_model ~block_embs:(Tensor.copy big_embs)
+           (Pmm.prepare g)))
+
 let test_threshold_roundtrip () =
   Pmm.set_threshold model 0.42;
   Alcotest.(check (float 1e-9)) "threshold" 0.42 (Pmm.threshold model);
@@ -697,9 +979,13 @@ let () =
           prop_fast_inference_matches_autodiff;
           prop_logits_aligned_with_paths;
           prop_predict_mutable_paths;
+          prop_infer_matches_oracle_shared_memo;
+          prop_infer_matches_oracle_fresh_memo;
         ];
       ( "pmm",
-        [ Alcotest.test_case "threshold" `Quick test_threshold_roundtrip ] );
+        [ Alcotest.test_case "threshold" `Quick test_threshold_roundtrip;
+          Alcotest.test_case "memo bound to its block embeddings" `Quick
+            test_memo_rejects_other_embeddings ] );
       ( "encoder",
         [
           Alcotest.test_case "shapes" `Quick test_encoder_shapes;
