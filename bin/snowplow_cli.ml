@@ -225,26 +225,31 @@ let fuzz seed version hours run_seed system jobs trace_file ts_file
                float_of_int (Snowplow.Inference.cache_size inference));
             ]
           in
-          if jobs = 1 && snapshot_dir = None && resume_file = None then
-            Campaign.run ~trace ?timeseries ~ts_extra (vm_for 0)
-              (Snowplow.Hybrid.strategy ~inference k) cfg
+          (* Prediction memos ride in the snapshot's aux field with the
+             service (and funnel lanes), so a resumed snowplow campaign
+             matches its uninterrupted run exactly. *)
+          let predictions =
+            Array.init jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
+          in
+          let aux funnel =
+            Snowplow.Persist.aux
+              ~parse:(Sp_syzlang.Parser.program db)
+              ~inference ~funnel ~predictions
+          in
+          if jobs = 1 then
+            (* One shard talks to the service directly. *)
+            launch ~ts_extra ~aux:(aux None)
+              ~strategy_for:(fun s ->
+                Snowplow.Hybrid.strategy_with ~predictions:(predictions.(s))
+                  ~endpoint:(Snowplow.Inference.endpoint inference)
+                  k)
+              ()
           else begin
             (* One inference service for the whole fleet: shards enqueue
                into per-shard outboxes and the funnel forwards them as one
                batch at each snapshot barrier. *)
             let funnel =
               Snowplow.Funnel.create ~tracer:main_tracer ~shards:jobs inference
-            in
-            (* Service, funnel lanes and per-shard prediction memos ride
-               in the snapshot's aux field, so a resumed snowplow
-               campaign matches its uninterrupted run exactly. *)
-            let predictions =
-              Array.init jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
-            in
-            let aux =
-              Snowplow.Persist.aux
-                ~parse:(Sp_syzlang.Parser.program db)
-                ~inference ~funnel ~predictions
             in
             let ts_extra () =
               ts_extra ()
@@ -255,7 +260,7 @@ let fuzz seed version hours run_seed system jobs trace_file ts_file
                    float_of_int (Snowplow.Funnel.dropped funnel));
                 ]
             in
-            launch ~ts_extra ~aux
+            launch ~ts_extra ~aux:(aux (Some funnel))
               ~strategy_for:(fun s ->
                 Snowplow.Hybrid.strategy_with ~predictions:(predictions.(s))
                   ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:s)
@@ -659,7 +664,7 @@ let serve seed version tenants_file workers snapshot_root resume trace_file
               Some
                 (Snowplow.Persist.aux
                    ~parse:(Sp_syzlang.Parser.program db)
-                   ~inference ~funnel ~predictions) )
+                   ~inference ~funnel:(Some funnel) ~predictions) )
         in
         Sp_fuzz.Scheduler.tenant ~weight:s.tn_weight ?exec_budget:s.tn_budget
           ?on_barrier ?snapshot_dir ?restore ?aux ~name:s.tn_name

@@ -113,7 +113,7 @@ val request_batch :
 
     The hybrid strategy talks to inference through this record rather than
     to the service directly, so the same strategy code runs against a
-    private service (sequential campaigns) or a per-shard view of a shared
+    private service (one-job campaigns) or a per-shard view of a shared
     funnel (parallel campaigns). *)
 
 type endpoint = {

@@ -2,7 +2,8 @@ module Json = Sp_obs.Json
 
 (* The snowplow strategy's live state outside the campaign proper:
    the inference service (queue, clock, caches), the funnel lanes
-   (outboxes/inboxes in flight at the barrier) and each shard's
+   (outboxes/inboxes in flight at the barrier; [Null] for a one-job
+   campaign, whose shard talks to the service directly) and each shard's
    delivered-prediction memo. Bundled as the campaign snapshot's [aux]
    field so a resumed snowplow campaign is bit-for-bit the
    uninterrupted one. *)
@@ -10,7 +11,8 @@ let aux ~parse ~inference ~funnel ~predictions =
   let aux_json () =
     Json.Obj
       [ ("inference", Inference.state_json inference);
-        ("funnel", Funnel.state_json funnel);
+        ( "funnel",
+          match funnel with None -> Json.Null | Some f -> Funnel.state_json f );
         ( "predictions",
           Json.Arr
             (Array.to_list (Array.map Hybrid.predictions_json predictions)) )
@@ -19,7 +21,10 @@ let aux ~parse ~inference ~funnel ~predictions =
   let aux_restore j =
     let open Json.Decode in
     Inference.restore_state inference ~parse (field "inference" j);
-    Funnel.restore_state funnel ~parse (field "funnel" j);
+    (match (funnel, field "funnel" j) with
+    | Some f, fj -> Funnel.restore_state f ~parse fj
+    | None, Json.Null -> ()
+    | None, _ -> error "Persist.aux: snapshot has funnel lanes, campaign has none");
     match field "predictions" j with
     | Json.Arr ps ->
       if List.length ps <> Array.length predictions then

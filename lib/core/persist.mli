@@ -13,10 +13,11 @@
 val aux :
   parse:(string -> (Sp_syzlang.Prog.t, string) result) ->
   inference:Inference.t ->
-  funnel:Funnel.t ->
+  funnel:Funnel.t option ->
   predictions:Hybrid.predictions array ->
   Sp_fuzz.Campaign.aux
 (** [predictions.(s)] is shard [s]'s memo (the one passed to
     {!Hybrid.strategy_with}); for a scheduler tenant, the slice of memos
-    for that tenant's shards. Restore raises [Sp_obs.Json.Decode.Error]
+    for that tenant's shards. [funnel] is [None] when the shards call the
+    service's own {!Inference.endpoint} (a one-job [fuzz] campaign). Restore raises [Sp_obs.Json.Decode.Error]
     on malformed input or a memo-count mismatch. *)

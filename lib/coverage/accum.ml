@@ -32,6 +32,8 @@ let add t ~blocks ~edges =
   t.nedges <- t.nedges + new_edges;
   { new_blocks; new_edges }
 
+let union_into ~dst src = add dst ~blocks:src.block_cover ~edges:src.edge_cover
+
 (* The scratch-execution variant: O(members) per execution instead of
    O(universe/8) words, and no bitset materialization on the hot path. An
    index loop (not [Stampset.iter]) keeps it closure-free. *)

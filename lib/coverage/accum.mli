@@ -16,6 +16,10 @@ type delta = { new_blocks : int; new_edges : int }
 val add : t -> blocks:Sp_util.Bitset.t -> edges:Sp_util.Bitset.t -> delta
 (** Merge one execution's coverage; returns how much of it was new. *)
 
+val union_into : dst:t -> t -> delta
+(** Merge everything [src] has accumulated into [dst]; returns how much of
+    it was new to [dst]. *)
+
 val add_stamped :
   t -> blocks:Sp_util.Stampset.t -> edges:Sp_util.Stampset.t -> delta
 (** [add], but directly from an execution scratch's stamped coverage sets:

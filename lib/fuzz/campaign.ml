@@ -44,7 +44,7 @@ type snapshot = {
 (* Telemetry sampler: one timeseries row per snapshot-grid point, fed
    from the same state the snapshot reads. Rows carry only virtual-clock
    and merged-state values, so the exported series inherits the
-   executors' determinism contract — no wall clock, no scheduling. *)
+   executor's determinism contract — no wall clock, no scheduling. *)
 type sampler = {
   sm_ts : Timeseries.t option;
   sm_extra : unit -> (string * float) list;
@@ -164,261 +164,19 @@ let report_json r =
       ("covered_blocks", Accum.bitset_to_json r.covered_blocks)
     ]
 
-type state = {
-  vm : Vm.t;
-  clock : Clock.t;
-  rng : Rng.t;
-  corpus : Corpus.t;
-  accum : Accum.t;
-  triage : Triage.t;
-  config : config;
-  metrics : Metrics.t;
-  tracer : Tracer.t;
-  sampler : sampler;
-  mutable series_rev : snapshot list;
-  mutable next_snapshot : float;
-  mutable crash_count : int;
-  mutable target_hit_at : float option;
-  origin_stats : (string, int * int) Hashtbl.t;
-  executed : (int, Prog.t list) Hashtbl.t;
-}
-
-let take_snapshots st =
-  while Clock.now st.clock >= st.next_snapshot do
-    let s_blocks = Accum.blocks_covered st.accum in
-    let s_edges = Accum.edges_covered st.accum in
-    let s_execs = Vm.executions st.vm in
-    st.series_rev <-
-      {
-        s_time = st.next_snapshot;
-        s_blocks;
-        s_edges;
-        s_crashes = st.crash_count;
-        s_execs;
-      }
-      :: st.series_rev;
-    sample_row st.sampler ~time:st.next_snapshot ~blocks:s_blocks
-      ~edges:s_edges ~crashes:st.crash_count ~execs:s_execs
-      ~corpus_size:(Corpus.size st.corpus);
-    Tracer.instant st.tracer "campaign.snapshot";
-    Tracer.counter st.tracer "edges" (float_of_int s_edges);
-    st.next_snapshot <- st.next_snapshot +. st.config.snapshot_every
-  done
-
-let check_target st =
-  match st.config.target with
-  | Some b when st.target_hit_at = None && Accum.mem_block st.accum b ->
-    st.target_hit_at <- Some (Clock.now st.clock)
-  | Some _ | None -> ()
-
-(* The executed-set is keyed by hash but confirmed structurally, like the
-   corpus: a collision must cost a redundant execution, not skip a
-   never-run program. *)
-let seen_executed st prog h =
-  match Hashtbl.find_opt st.executed h with
-  | None -> false
-  | Some bucket -> List.exists (Prog.equal prog) bucket
-
-let mark_executed st prog h =
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt st.executed h) in
-  Hashtbl.replace st.executed h (prog :: bucket)
-
-(* Ingest the VM scratch's last execution. The stamped views are only
-   borrowed: novelty is judged with [Accum.add_stamped] directly on them,
-   and bitsets are materialized only for the rare corpus admission.
-   [scratch_crash] is read before [Triage.record], whose repro attempts
-   re-execute (into the kernel's per-domain default scratch, not this
-   VM's — the views stay valid regardless). *)
-let ingest_raw ?(origin = "seed") st prog =
-  let scratch = Vm.scratch st.vm in
-  let crash = Kernel.scratch_crash scratch in
-  let delta =
-    Accum.add_stamped st.accum
-      ~blocks:(Kernel.scratch_blocks scratch)
-      ~edges:(Kernel.scratch_edges scratch)
-  in
-  (let execs, new_edges =
-     Option.value ~default:(0, 0) (Hashtbl.find_opt st.origin_stats origin)
-   in
-   Hashtbl.replace st.origin_stats origin
-     (execs + 1, new_edges + delta.Accum.new_edges));
-  (* Crashing programs never enter the corpus: the VM died, and mutating
-     them would mostly re-trigger the same crash (Syzkaller behaves the
-     same way). *)
-  if crash = None && (delta.Accum.new_blocks > 0 || delta.Accum.new_edges > 0)
-  then
-    if
-      Corpus.add st.corpus
-        {
-          Corpus.prog;
-          blocks = Kernel.scratch_blocks_bitset scratch;
-          edges = Kernel.scratch_edges_bitset scratch;
-          added_at = Clock.now st.clock;
-        }
-    then Metrics.incr st.metrics "campaign.corpus_adds";
-  (match crash with
-  | Some crash -> (
-    match
-      Triage.record ~attempt_repro:st.config.attempt_repro st.triage st.rng
-        ~vm:st.vm ~now:(Clock.now st.clock) crash prog
-    with
-    | Some _ ->
-      st.crash_count <- st.crash_count + 1;
-      Metrics.incr st.metrics "campaign.crashes"
-    | None -> ())
-  | None -> ());
-  check_target st;
-  take_snapshots st
-
-let finished st =
-  Clock.now st.clock >= st.config.duration
-  || (st.config.target <> None && st.target_hit_at <> None)
-
-let run ?(trace = Trace.disabled) ?timeseries ?ts_extra vm
-    (strategy : Strategy.t) config =
-  Vm.set_throughput_factor vm strategy.Strategy.throughput_factor;
-  let kernel = Vm.kernel vm in
-  let metrics = Metrics.create () in
-  Vm.set_metrics vm metrics;
-  let tracer = Trace.tracer trace ~pid:0 ~name:"campaign" in
-  Vm.set_tracer vm tracer;
-  let dist_to_target =
-    match config.target with
-    | Some b -> Sp_cfg.Cfg.distances_to (Kernel.cfg kernel) b
-    | None -> [||]
-  in
-  (* Directed mode: an entry's distance to the target is fixed once its
-     coverage is known, so it is computed exactly once, on admission, and
-     the corpus keeps the minimum tier indexed (no per-choice scan and no
-     hash-keyed memo). *)
-  let entry_distance (entry : Corpus.entry) =
-    Bitset.fold
-      (fun b acc -> min acc dist_to_target.(b))
-      entry.Corpus.blocks max_int
-  in
-  let st =
-    {
-      vm;
-      clock = Clock.create ();
-      rng = Rng.create config.seed;
-      corpus =
-        Corpus.create
-          ?distance:(if config.target = None then None else Some entry_distance)
-          ();
-      accum =
-        Accum.create ~num_blocks:(Kernel.num_blocks kernel)
-          ~num_edges:(Sp_cfg.Cfg.num_edges (Kernel.cfg kernel));
-      triage = Triage.create kernel;
-      config;
-      metrics;
-      tracer;
-      sampler = make_sampler ?timeseries ?ts_extra ();
-      series_rev = [];
-      next_snapshot = config.snapshot_every;
-      crash_count = 0;
-      target_hit_at = None;
-      origin_stats = Hashtbl.create 16;
-      executed = Hashtbl.create 4096;
-    }
-  in
-  (* Seed the corpus. *)
-  List.iter
-    (fun prog ->
-      if not (finished st) then begin
-        mark_executed st prog (Prog.hash prog);
-        Vm.run_raw st.vm st.clock prog;
-        ingest_raw st prog
-      end)
-    config.seed_corpus;
-  (* Main loop. *)
-  while (not (finished st)) && Corpus.size st.corpus > 0 do
-    Metrics.incr st.metrics "campaign.iterations";
-    let iter_start = Clock.now st.clock in
-    let entry =
-      match config.target with
-      | Some _ -> Corpus.choose_directed st.rng st.corpus
-      | None -> Corpus.choose st.rng st.corpus
-    in
-    let proposals =
-      Metrics.time st.metrics "campaign.propose_cpu_s" (fun () ->
-          strategy.Strategy.propose st.rng ~now:(Clock.now st.clock)
-            ~covered:(Accum.blocks st.accum) st.corpus entry)
-    in
-    Metrics.incr ~by:(List.length proposals) st.metrics "campaign.proposals";
-    List.iter
-      (fun (p : Strategy.proposal) ->
-        if not (finished st) then begin
-          let h = Prog.hash p.Strategy.prog in
-          if seen_executed st p.Strategy.prog h then begin
-            Metrics.incr st.metrics "campaign.duplicates";
-            Vm.charge_duplicate st.vm st.clock
-          end
-          else begin
-            mark_executed st p.Strategy.prog h;
-            Vm.run_raw st.vm st.clock p.Strategy.prog;
-            ingest_raw ~origin:p.Strategy.origin st p.Strategy.prog
-          end
-        end)
-      proposals;
-    Metrics.observe st.metrics "campaign.iter_virtual_s"
-      (Clock.now st.clock -. iter_start)
-  done;
-  (* Close the series at the end of the campaign. *)
-  Clock.advance st.clock (Float.max 0.0 (config.duration -. Clock.now st.clock));
-  take_snapshots st;
-  let needs_final =
-    match st.series_rev with
-    | last :: _ -> last.s_time < config.duration
-    | [] -> true
-  in
-  if needs_final then begin
-    let s_blocks = Accum.blocks_covered st.accum in
-    let s_edges = Accum.edges_covered st.accum in
-    let s_execs = Vm.executions st.vm in
-    st.series_rev <-
-      { s_time = config.duration;
-        s_blocks;
-        s_edges;
-        s_crashes = st.crash_count;
-        s_execs }
-      :: st.series_rev;
-    sample_row st.sampler ~time:config.duration ~blocks:s_blocks
-      ~edges:s_edges ~crashes:st.crash_count ~execs:s_execs
-      ~corpus_size:(Corpus.size st.corpus)
-  end;
-  {
-    series = List.rev st.series_rev;
-    final_blocks = Accum.blocks_covered st.accum;
-    final_edges = Accum.edges_covered st.accum;
-    crashes = Triage.all_found st.triage;
-    new_crashes = Triage.new_crashes st.triage;
-    known_crashes = Triage.known_crashes st.triage;
-    executions = Vm.executions st.vm;
-    corpus_size = Corpus.size st.corpus;
-    target_hit_at = st.target_hit_at;
-    origin_stats =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.origin_stats []
-      |> List.sort compare;
-    corpus = st.corpus;
-    (* the accumulator dies with the campaign, but the report escapes it:
-       hand out a snapshot, not the live set *)
-    covered_blocks = Accum.snapshot_blocks st.accum;
-    metrics = st.metrics;
-  }
-
 (* ------------------------------------------------------------------ *)
-(* Parallel executor: campaign instances                                *)
+(* The executor: campaign instances                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A parallel campaign is an [instance]: the merged global state plus the
+(* Every campaign is an [instance]: the merged global state plus the
    shard array, stepped one barrier slice at a time against a worker pool
    the caller owns. [run_parallel] drives one instance to completion over
-   a private pool; the multi-tenant {!Scheduler} interleaves slices of
-   many instances over one shared pool. Shards fuzz independently between
-   snapshot barriers, against private copies of the barrier-frozen global
-   corpus and accumulator; at each barrier the main domain folds every
-   shard's epoch results into the global state in shard order
-   (0..jobs-1). Each shard's epoch is a pure function of the frozen
+   a private pool (with no worker domain at all for a single shard);
+   the multi-tenant {!Scheduler} interleaves slices of many instances
+   over one shared pool. Shards fuzz independently between snapshot
+   barriers, against private copies of the barrier-frozen global corpus
+   and accumulator; at each barrier the main domain folds every shard's
+   epoch results into the global state in shard order (0..jobs-1). Each shard's epoch is a pure function of the frozen
    global snapshot and its own RNG stream, and the merge order is fixed,
    so the whole run is bit-for-bit reproducible given
    (config.seed, jobs) — thread scheduling (and, for the scheduler,
@@ -696,10 +454,10 @@ let merge_epoch inst (ep : Shard.epoch) =
           Metrics.incr inst.i_metrics "campaign.corpus_adds")
     ep.Shard.ep_admissions;
   (* Then the rest of the epoch's coverage (crashing and non-novel
-     executions contribute coverage without corpus entries). *)
-  ignore
-    (Accum.add inst.i_accum ~blocks:ep.Shard.ep_blocks
-       ~edges:ep.Shard.ep_edges);
+     executions contribute coverage without corpus entries). The epoch
+     accumulator also holds the barrier-frozen state, which the global
+     one already has, so the union adds exactly what the epoch saw. *)
+  ignore (Accum.union_into ~dst:inst.i_accum ep.Shard.ep_coverage);
   List.iter
     (fun (ce : Shard.crash_event) ->
       match
@@ -864,8 +622,8 @@ let step_instance inst ~pool ?max_execs () =
 
 let finish_instance inst =
   let config = inst.i_config in
-  (* Close the series grid out to the configured duration, exactly like
-     the sequential executor does on early exit. *)
+  (* Close the series grid out to the configured duration, also when the
+     campaign stopped early (target hit, or no work left). *)
   take_instance_snapshots inst config.duration;
   let needs_final =
     match inst.i_series_rev with
@@ -920,11 +678,13 @@ let run_sharded ?snapshot_dir ?restore ?on_barrier ?(trace = Trace.disabled)
       ?ts_extra ?aux ?faults ~jobs ~vm_for ~strategy_for config
   in
   let pool_metrics = Metrics.create () in
+  (* A single shard runs its epochs on this domain: a worker domain would
+     only add a second minor heap and a hand-off per barrier. *)
   Pool.with_pool ?faults ~metrics:pool_metrics
     ~tracer_for:(fun i ->
       Trace.tracer trace ~pid:(1001 + i)
         ~name:(Printf.sprintf "pool-worker-%d" i))
-    ~workers:jobs
+    ~workers:(if jobs = 1 then 0 else jobs)
     (fun pool ->
       while not inst.i_stopped do
         step_instance inst ~pool ()
@@ -934,19 +694,16 @@ let run_sharded ?snapshot_dir ?restore ?on_barrier ?(trace = Trace.disabled)
   Metrics.merge_into ~dst:report.metrics pool_metrics;
   report
 
-let run_parallel ?on_barrier ?(trace = Trace.disabled) ?timeseries ?ts_extra
-    ?snapshot_dir ?aux ?faults ~jobs ~vm_for ~strategy_for config =
-  if jobs < 1 then invalid_arg "Campaign.run_parallel: jobs must be >= 1";
-  if config.snapshot_every <= 0.0 then
-    invalid_arg "Campaign.run_parallel: snapshot_every must be positive";
-  (* Snapshotting needs the barrier structure, so it forces the sharded
-     path even for a single job; without it jobs = 1 keeps delegating to
-     the sequential executor (and stays bit-identical to it). *)
-  if jobs = 1 && snapshot_dir = None && Option.is_none faults then
-    run ~trace ?timeseries ?ts_extra (vm_for 0) (strategy_for 0) config
-  else
-    run_sharded ?snapshot_dir ?on_barrier ~trace ?timeseries ?ts_extra ?aux
-      ?faults ~jobs ~vm_for ~strategy_for config
+let run_parallel ?on_barrier ?trace ?timeseries ?ts_extra ?snapshot_dir ?aux
+    ?faults ~jobs ~vm_for ~strategy_for config =
+  run_sharded ?snapshot_dir ?on_barrier ?trace ?timeseries ?ts_extra ?aux
+    ?faults ~jobs ~vm_for ~strategy_for config
+
+let run ?trace ?timeseries ?ts_extra vm strategy config =
+  run_parallel ?trace ?timeseries ?ts_extra ~jobs:1
+    ~vm_for:(fun _ -> vm)
+    ~strategy_for:(fun _ -> strategy)
+    config
 
 (* Raises [Json.Decode.Error]; callers wrap in [Json.Decode.run]. *)
 let validate_snapshot ~snapshot ~jobs config =

@@ -6,7 +6,12 @@
     corpus, and triage crashes. Supports the undirected mode (coverage
     campaigns of §5.3) and the directed mode (§5.4), which weights base
     selection by static distance to the target block and stops when the
-    target is covered. *)
+    target is covered.
+
+    There is one loop, {!Shard.run_epoch}; this module owns everything
+    around it: the barrier-frozen global state each epoch reads, the
+    shard-order merge, the series, snapshots and the report. A one-job
+    campaign is the one-shard case of the same code. *)
 
 type config = {
   duration : float;  (** virtual seconds; 24 h = 86_400 *)
@@ -48,7 +53,8 @@ type report = {
   metrics : Sp_util.Metrics.t;
       (** loop observability: [campaign.*] counters (iterations, proposals,
           duplicates, corpus adds, crashes) and histograms (per-iteration
-          virtual time, proposal CPU time), plus the [vm.*] metrics the VM
+          virtual time, proposal wall time [campaign.propose_wall_s]),
+          plus the [vm.*] metrics the VM
           records into the same registry *)
 }
 
@@ -60,12 +66,15 @@ val run :
   Strategy.t ->
   config ->
   report
-(** Telemetry (both executors): with [trace], the campaign records into
-    the collection — pid 0 is the main domain ([campaign.snapshot]
-    instants, an [edges] counter, and in parallel runs [campaign.barrier]
-    / [campaign.merge] spans), pid [1+s] is shard [s] ([shard.epoch]
-    spans, [vm.crash_restart] instants), pid [1001+i] is pool worker [i]
-    ([pool.task] spans, [pool.steal] instants). With [timeseries], one
+(** One campaign on one shard: {!run_parallel} with [jobs = 1], whose
+    single shard runs on the calling domain.
+
+    Telemetry: with [trace], the campaign records into the collection —
+    pid 0 is the main domain ([campaign.snapshot] instants, an [edges]
+    counter, [campaign.barrier] / [campaign.merge] spans), pid [1+s] is
+    shard [s] ([shard.epoch] spans, [vm.crash_restart] instants), pid
+    [1001+i] is pool worker [i] ([pool.task] spans, [pool.steal]
+    instants; a one-shard campaign has no worker). With [timeseries], one
     row is appended per snapshot-grid point carrying [blocks], [edges],
     [execs], [execs_per_s], [corpus] and [crashes] plus whatever
     [ts_extra ()] returns (sampled on the main domain at the same grid
@@ -99,26 +108,24 @@ val run_parallel :
   strategy_for:(int -> Strategy.t) ->
   config ->
   report
-(** Shard the campaign across [jobs] worker domains (see {!Shard}). Each
-    shard owns the VM and strategy built by [vm_for]/[strategy_for] for
-    its index and a named split of the campaign RNG; seed tests are dealt
-    round-robin. Shards fuzz independently between snapshot barriers
+(** Shard the campaign across [jobs] worker domains (see {!Shard}); with
+    [jobs = 1] the one shard runs on the calling domain and no worker
+    domain is spawned. Each shard owns the VM and strategy built by
+    [vm_for]/[strategy_for] for its index and a named split of the
+    campaign RNG; seed tests are dealt round-robin. Shards fuzz independently between snapshot barriers
     (every [snapshot_every] virtual seconds); at each barrier the main
     domain folds coverage, corpus admissions (re-judged for novelty) and
     crashes into the global state {e in shard order}, making the run
     bit-for-bit reproducible given [(config.seed, jobs)] regardless of
     scheduling. [on_barrier] runs on the main domain after each merge —
     the hook the snowplow layer uses to flush batched inference requests.
-    [jobs = 1] delegates to the sequential {!run}. The report's registry
-    additionally carries per-shard loop/vm metrics (merged in shard
-    order) and the worker pool's [pool.*] metrics.
+    The report's registry carries per-shard loop/vm metrics (merged in
+    shard order) and the worker pool's [pool.*] metrics.
 
     With [snapshot_dir], the merged campaign state is persisted after
     every barrier as [snapshot_dir/snapshot-NNNNNN.json] (written
     atomically; a kill mid-write leaves the previous barrier's file
-    intact), and {!resume} can continue the campaign from any of them.
-    Snapshotting requires the barrier structure, so [jobs = 1] then runs
-    the sharded executor (one shard) rather than delegating to {!run}. *)
+    intact), and {!resume} can continue the campaign from any of them. *)
 
 val resume :
   ?on_barrier:(now:float -> unit) ->
@@ -151,7 +158,7 @@ val resume :
 
 (** {2 Campaign instances}
 
-    The parallel executor, opened up: an [instance] is one campaign's
+    The executor, opened up: an [instance] is one campaign's
     merged global state plus its shard array, stepped one barrier slice
     at a time against a {!Sp_util.Pool} the {e caller} owns.
     [run_parallel] is [create_instance] + step-until-stopped over a

@@ -14,10 +14,9 @@
     state and merges on the scheduling domain in shard order, so its
     {!Campaign.report_json} is byte-identical to the same campaign run
     solo with the same (seed, jobs) — the (seed, jobs) guarantee extends
-    to (seed, jobs, schedule). "Solo" means {!Campaign.run_parallel} on
-    the barrier-sliced instance path, the one it always takes except the
-    jobs = 1, no-snapshot case, where it delegates to the sequential
-    executor (a different instruction stream). The schedule itself is
+    to (seed, jobs, schedule). "Solo" means {!Campaign.run_parallel},
+    which steps the same barrier-sliced instance over a private pool
+    (for jobs = 1, on the calling domain). The schedule itself is
     also deterministic: admission is a pure function of tenant state,
     never of wall-clock timing.
 

@@ -1,5 +1,4 @@
 module Rng = Sp_util.Rng
-module Bitset = Sp_util.Bitset
 module Metrics = Sp_util.Metrics
 module Tracer = Sp_obs.Tracer
 module Kernel = Sp_kernel.Kernel
@@ -115,8 +114,7 @@ type epoch = {
   ep_shard : int;
   ep_admissions : Corpus.entry list;
   ep_crashes : crash_event list;
-  ep_blocks : Bitset.t;
-  ep_edges : Bitset.t;
+  ep_coverage : Accum.t;
   ep_origin : (string * (int * int)) list;
   ep_target_hit_at : float option;
   ep_idle : bool;
@@ -126,8 +124,6 @@ type epoch = {
 type ctx = {
   acc : Accum.t;  (* private: global snapshot + this epoch's coverage *)
   local : Corpus.t;  (* private copy of the barrier-frozen global corpus *)
-  obs_blocks : Bitset.t;  (* everything observed this epoch, for the merge *)
-  obs_edges : Bitset.t;
   origin : (string, int * int) Hashtbl.t;
   mutable admissions_rev : Corpus.entry list;
   mutable crashes_rev : crash_event list;
@@ -150,23 +146,27 @@ let check_target t ctx target =
     ctx.target_hit_at <- Some (Clock.now t.clock)
   | Some _ | None -> ()
 
-(* Ingest the shard VM scratch's last execution (the per-shard mirror of
-   [Campaign.ingest_raw]); the epoch's observed-coverage sets take the
-   stamped members directly, no intermediate bitset. *)
+(* Ingest the VM scratch's last execution. The stamped views are only
+   borrowed: novelty is judged with [Accum.add_stamped] directly on them,
+   and bitsets are materialized only for the rare corpus admission. The
+   epoch accumulator is all the merge needs of the rest: it already holds
+   the coverage of crashing and non-novel executions. *)
 let ingest_raw ?(origin = "seed") t ctx target prog =
   ctx.worked <- true;
   let scratch = Vm.scratch t.vm in
   let crash = Kernel.scratch_crash scratch in
-  let blocks = Kernel.scratch_blocks scratch in
-  let edges = Kernel.scratch_edges scratch in
-  let delta = Accum.add_stamped ctx.acc ~blocks ~edges in
-  Sp_util.Stampset.iter (Bitset.add ctx.obs_blocks) blocks;
-  Sp_util.Stampset.iter (Bitset.add ctx.obs_edges) edges;
+  let delta =
+    Accum.add_stamped ctx.acc
+      ~blocks:(Kernel.scratch_blocks scratch)
+      ~edges:(Kernel.scratch_edges scratch)
+  in
   (let execs, new_edges =
      Option.value ~default:(0, 0) (Hashtbl.find_opt ctx.origin origin)
    in
    Hashtbl.replace ctx.origin origin (execs + 1, new_edges + delta.Accum.new_edges));
-  (* Crashing programs never enter the corpus (see Campaign.ingest_raw). *)
+  (* Crashing programs never enter the corpus: the VM died, and mutating
+     them would mostly re-trigger the same crash (Syzkaller behaves the
+     same way). *)
   if crash = None && (delta.Accum.new_blocks > 0 || delta.Accum.new_edges > 0)
   then begin
     let entry =
@@ -195,14 +195,11 @@ let ingest_raw ?(origin = "seed") t ctx target prog =
   check_target t ctx target
 
 let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
-  let kernel = Vm.kernel t.vm in
   let exec0 = Vm.executions t.vm in
   let ctx =
     {
       acc = Accum.copy accum;
       local = Corpus.copy corpus;
-      obs_blocks = Bitset.create (Kernel.num_blocks kernel);
-      obs_edges = Bitset.create (Sp_cfg.Cfg.num_edges (Kernel.cfg kernel));
       origin = Hashtbl.create 8;
       admissions_rev = [];
       crashes_rev = [];
@@ -233,7 +230,8 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
         ingest_raw t ctx target prog
       end
   done;
-  (* Mutation loop, mirroring the sequential executor. *)
+  (* Mutation loop: choose a base, propose mutants, execute the unseen
+     ones (Figure 1). *)
   while (not (finished ())) && Corpus.size ctx.local > 0 do
     ctx.worked <- true;
     Metrics.incr t.metrics "campaign.iterations";
@@ -244,7 +242,7 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
       | None -> Corpus.choose t.rng ctx.local
     in
     let proposals =
-      (* Wall clock: this runs on a worker domain (see Metrics.time). *)
+      (* Wall clock: this may run on a worker domain (see Metrics.time). *)
       Metrics.time_wall t.metrics "campaign.propose_wall_s" (fun () ->
           t.strategy.Strategy.propose t.rng ~now:(Clock.now t.clock)
             ~covered:(Accum.blocks ctx.acc) ctx.local entry)
@@ -276,8 +274,7 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
     ep_shard = t.id;
     ep_admissions = List.rev ctx.admissions_rev;
     ep_crashes = List.rev ctx.crashes_rev;
-    ep_blocks = ctx.obs_blocks;
-    ep_edges = ctx.obs_edges;
+    ep_coverage = ctx.acc;
     ep_origin =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.origin []
       |> List.sort compare;
@@ -285,8 +282,8 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
     ep_idle = not ctx.worked;
   }
 
-(* The span runs on the worker domain executing the epoch — each shard
-   owns its tracer, so this is race-free by construction. *)
+(* The span runs on the domain executing the epoch — each shard owns its
+   tracer, so this is race-free by construction. *)
 let run_epoch t ?max_execs ~corpus ~accum ~target ~until () =
   Tracer.span t.tracer "shard.epoch" (fun () ->
       run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until ())

@@ -1,8 +1,8 @@
-(** One worker's slice of a parallel campaign.
+(** One shard of a campaign: the fuzz loop itself.
 
     A shard owns a private {!Vm.t}, {!Clock.t}, RNG stream and mutation
     strategy, plus its cross-epoch executed-set and metrics registry. The
-    parallel executor runs shards in lockstep epochs: between two snapshot
+    campaign executor runs shards in lockstep epochs: between two snapshot
     barriers each shard fuzzes {e independently} against a private copy of
     the barrier-frozen global corpus and coverage accumulator, recording —
     in discovery order — the corpus admissions, crash events and coverage
@@ -27,7 +27,7 @@ val create :
     registry and [tracer] (default disabled) to [vm] and applies the
     strategy's throughput factor. The tracer must be private to this
     shard: {!run_epoch} records a [shard.epoch] span into it from the
-    worker domain running the epoch. *)
+    domain running the epoch. *)
 
 val id : t -> int
 
@@ -71,8 +71,10 @@ type epoch = {
   ep_crashes : crash_event list;
       (** first occurrence per crash description per shard, in discovery
           order; cross-shard dedup happens in the merge's triage *)
-  ep_blocks : Sp_util.Bitset.t;  (** all block coverage observed this epoch *)
-  ep_edges : Sp_util.Bitset.t;
+  ep_coverage : Sp_coverage.Accum.t;
+      (** the epoch's private accumulator: the barrier-frozen global
+          coverage plus everything this epoch executed, crashing and
+          non-novel executions included *)
   ep_origin : (string * (int * int)) list;
       (** per proposal origin: executions, shard-locally-new edges *)
   ep_target_hit_at : float option;

@@ -7,8 +7,9 @@ type t = {
   config : Build.config;
   built : Build.built;
   code : Exec.code;
-  (* Per-domain default scratch: [t] is shared across shard domains in
-     [Campaign.run_parallel], so the fallback scratch for plain [execute]
+  (* Per-domain default scratch: [t] is shared by every shard of a
+     campaign, and shards run on pool worker domains (or on the calling
+     domain, for one shard), so the fallback scratch for plain [execute]
      calls must be domain-local, never a field mutated from two domains. *)
   default_scratch : Exec.scratch Domain.DLS.key;
 }

@@ -78,7 +78,7 @@ let worker t i () =
   loop ()
 
 let create ?metrics ?tracer_for ?(faults = Faults.disabled) ~workers () =
-  if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
+  if workers < 0 then invalid_arg "Pool.create: workers must be >= 0";
   let tracers =
     (* Handed out before the domains spawn, on the caller's domain; each
        worker then writes only its own tracer. *)
@@ -151,10 +151,18 @@ let submit t f =
     Mutex.unlock h.h_lock
   in
   t.in_flight <- t.in_flight + 1;
-  Queue.push task t.queues.(t.rr);
-  t.rr <- (t.rr + 1) mod Array.length t.queues;
-  Condition.broadcast t.work;
-  Mutex.unlock t.lock;
+  if Array.length t.queues = 0 then begin
+    (* No workers: the task runs here, on the submitting domain. *)
+    Metrics.incr t.metrics "pool.tasks";
+    Mutex.unlock t.lock;
+    task ()
+  end
+  else begin
+    Queue.push task t.queues.(t.rr);
+    t.rr <- (t.rr + 1) mod Array.length t.queues;
+    Condition.broadcast t.work;
+    Mutex.unlock t.lock
+  end;
   h
 
 let await_full h =

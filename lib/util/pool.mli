@@ -25,9 +25,15 @@ val create :
   workers:int ->
   unit ->
   t
-(** Spawn [workers] domains (>= 1). [tracer_for i] is called once per
+(** Spawn [workers] domains (>= 0). [tracer_for i] is called once per
     worker, on the calling domain, before any worker starts; worker [i]
     then owns (and is the only writer of) that tracer.
+
+    A pool with [workers = 0] spawns no domain: {!submit} runs each task
+    on the submitting domain before returning its (already resolved)
+    handle. A one-shard campaign runs that way, so it keeps the caller's
+    minor heap and domain-local state instead of paying for a second
+    domain it cannot use.
 
     With an enabled [faults] plan (default {!Faults.disabled}), each
     {!submit} consults site ["pool.task"] at the pool-wide submission
@@ -48,7 +54,8 @@ val in_flight : t -> int
 type 'a handle
 
 val submit : t -> (unit -> 'a) -> 'a handle
-(** Enqueue a task. Raises [Invalid_argument] after {!shutdown}. *)
+(** Enqueue a task (or, with no workers, run it now). Raises
+    [Invalid_argument] after {!shutdown}. *)
 
 val await : 'a handle -> ('a, exn) result
 (** Block until the task has run. A task that raised reports its

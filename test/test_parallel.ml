@@ -227,12 +227,100 @@ let test_parallel_reproducible () =
   Alcotest.(check bool) "did real work" true (a.Campaign.executions > 0);
   Alcotest.(check bool) "found coverage" true (a.Campaign.final_edges > 0)
 
-let test_parallel_jobs1_matches_sequential () =
-  let vm = Vm.create ~seed:100 kernel in
-  let seq = Campaign.run vm (Strategy.syzkaller db) short_cfg in
-  let par = run_par 1 in
-  Alcotest.(check bool) "jobs=1 equals the sequential executor" true
-    (report_fingerprint seq = report_fingerprint par)
+(* A one-shard campaign runs its epochs on the calling domain (a
+   zero-worker pool). The scheduler steps the same instance on a pool
+   with real workers, so the two must agree byte for byte. *)
+let test_parallel_jobs1_inline_matches_pool () =
+  let inline = run_par 1 in
+  let inst =
+    Campaign.create_instance ~jobs:1
+      ~vm_for:(fun s -> Vm.create ~seed:(100 + s) kernel)
+      ~strategy_for:(fun _ -> Strategy.syzkaller db)
+      short_cfg
+  in
+  Pool.with_pool ~workers:1 (fun pool ->
+      while not (Campaign.instance_stopped inst) do
+        Campaign.step_instance inst ~pool ()
+      done);
+  let pooled = Campaign.finish_instance inst in
+  let bytes r = Sp_obs.Json.to_string (Campaign.report_json r) in
+  Alcotest.(check bool) "did real work" true (inline.Campaign.executions > 0);
+  check Alcotest.string "inline jobs=1 report == 1-worker pool report"
+    (bytes pooled) (bytes inline)
+
+(* The barrier merge unions each epoch's private accumulator into the
+   global one after judging admissions. Replays the same jobs = 2
+   campaign shard by shard, keeping the union of every epoch
+   accumulator: the campaign must end with exactly that coverage, even
+   though crashing executions reach coverage no admission carries. *)
+let test_parallel_merge_keeps_epoch_coverage () =
+  let module Shard = Sp_fuzz.Shard in
+  let module Corpus = Sp_fuzz.Corpus in
+  let module Accum = Sp_coverage.Accum in
+  let module Bitset = Sp_util.Bitset in
+  let jobs = 2 in
+  let vm_for s = Vm.create ~seed:(100 + s) kernel in
+  let report = run_par jobs in
+  let root = Rng.create short_cfg.Campaign.seed in
+  let shards =
+    Array.init jobs (fun s ->
+        Shard.create ~id:s ~vm:(vm_for s) ~strategy:(Strategy.syzkaller db)
+          ~rng:(Rng.split_named root (Printf.sprintf "shard-%d" s))
+          ~seeds:
+            (List.filteri (fun i _ -> i mod jobs = s) short_cfg.Campaign.seed_corpus)
+          ())
+  in
+  let num_blocks = Kernel.num_blocks kernel in
+  let num_edges = Sp_cfg.Cfg.num_edges (Kernel.cfg kernel) in
+  let corpus = Corpus.create () in
+  let accum = Accum.create ~num_blocks ~num_edges in
+  let epoch_union = Accum.create ~num_blocks ~num_edges in
+  let admitted = Accum.create ~num_blocks ~num_edges in
+  let crashes = ref 0 in
+  let barrier = ref 0 and stopped = ref false in
+  while not !stopped do
+    incr barrier;
+    let until =
+      Float.min short_cfg.Campaign.duration
+        (float_of_int !barrier *. short_cfg.Campaign.snapshot_every)
+    in
+    let epochs =
+      Array.map
+        (fun sh -> Shard.run_epoch sh ~corpus ~accum ~target:None ~until ())
+        shards
+    in
+    Array.iter
+      (fun (ep : Shard.epoch) ->
+        List.iter
+          (fun (e : Corpus.entry) ->
+            let d = Accum.add accum ~blocks:e.Corpus.blocks ~edges:e.Corpus.edges in
+            if d.Accum.new_blocks > 0 || d.Accum.new_edges > 0 then
+              if Corpus.add corpus e then
+                ignore
+                  (Accum.add admitted ~blocks:e.Corpus.blocks ~edges:e.Corpus.edges))
+          ep.Shard.ep_admissions;
+        crashes := !crashes + List.length ep.Shard.ep_crashes;
+        ignore (Accum.union_into ~dst:epoch_union ep.Shard.ep_coverage);
+        ignore (Accum.union_into ~dst:accum ep.Shard.ep_coverage))
+      epochs;
+    stopped := until >= short_cfg.Campaign.duration
+  done;
+  let executions =
+    Array.fold_left (fun n sh -> n + Vm.executions (Shard.vm sh)) 0 shards
+  in
+  check Alcotest.int "the replay is the same campaign" report.Campaign.executions
+    executions;
+  check Alcotest.int "same corpus" report.Campaign.corpus_size (Corpus.size corpus);
+  Alcotest.(check bool) "crashing executions happened" true (!crashes > 0);
+  Alcotest.(check bool) "some coverage came from no admission" true
+    (Accum.blocks_covered admitted < Accum.blocks_covered epoch_union
+    || Accum.edges_covered admitted < Accum.edges_covered epoch_union);
+  check Alcotest.int "final_blocks = union of epoch accumulators"
+    (Accum.blocks_covered epoch_union) report.Campaign.final_blocks;
+  check Alcotest.int "final_edges = union of epoch accumulators"
+    (Accum.edges_covered epoch_union) report.Campaign.final_edges;
+  Alcotest.(check bool) "same covered blocks" true
+    (Bitset.equal (Accum.snapshot_blocks epoch_union) report.Campaign.covered_blocks)
 
 let test_parallel_jobs_change_results_deterministically () =
   (* Different shard counts give different (but each reproducible)
@@ -437,8 +525,10 @@ let () =
         [
           Alcotest.test_case "same (seed, jobs) => identical report" `Quick
             test_parallel_reproducible;
-          Alcotest.test_case "jobs=1 matches sequential" `Quick
-            test_parallel_jobs1_matches_sequential;
+          Alcotest.test_case "jobs=1 inline == 1-worker pool" `Quick
+            test_parallel_jobs1_inline_matches_pool;
+          Alcotest.test_case "merge keeps every epoch's coverage" `Quick
+            test_parallel_merge_keeps_epoch_coverage;
           Alcotest.test_case "width scaling stays deterministic" `Quick
             test_parallel_jobs_change_results_deterministically;
           Alcotest.test_case "series shape and pool metrics" `Quick

@@ -380,13 +380,16 @@ let aux_cfg =
     duration = 900.0;
     snapshot_every = 300.0 }
 
-let aux_jobs = 2
-
-let snowplow_run ?snapshot_dir ?restore () =
+(* Two jobs share the service through a funnel; one job calls the
+   service's own endpoint and persists no funnel lanes. *)
+let snowplow_run ~jobs ?snapshot_dir ?restore () =
   let service = inference () in
-  let funnel = Snowplow.Funnel.create ~shards:aux_jobs service in
+  let funnel =
+    if jobs = 1 then None
+    else Some (Snowplow.Funnel.create ~shards:jobs service)
+  in
   let predictions =
-    Array.init aux_jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
+    Array.init jobs (fun _ -> Snowplow.Hybrid.make_predictions ())
   in
   let aux =
     Snowplow.Persist.aux ~parse ~inference:service ~funnel ~predictions
@@ -394,24 +397,29 @@ let snowplow_run ?snapshot_dir ?restore () =
   let strategy_for s =
     Snowplow.Hybrid.strategy_with
       ~predictions:(predictions.(s))
-      ~endpoint:(Snowplow.Funnel.endpoint funnel ~shard:s)
+      ~endpoint:
+        (match funnel with
+        | Some f -> Snowplow.Funnel.endpoint f ~shard:s
+        | None -> Snowplow.Inference.endpoint service)
       kernel
   in
-  let on_barrier ~now = ignore (Snowplow.Funnel.flush funnel ~now) in
+  let on_barrier ~now =
+    Option.iter (fun f -> ignore (Snowplow.Funnel.flush f ~now)) funnel
+  in
   match restore with
   | None ->
     Ok
-      (Campaign.run_parallel ?snapshot_dir ~on_barrier ~aux ~jobs:aux_jobs
-         ~vm_for ~strategy_for aux_cfg)
+      (Campaign.run_parallel ?snapshot_dir ~on_barrier ~aux ~jobs ~vm_for
+         ~strategy_for aux_cfg)
   | Some snapshot ->
-    Campaign.resume ~snapshot ~on_barrier ~aux ~jobs:aux_jobs ~vm_for
-      ~strategy_for aux_cfg
+    Campaign.resume ~snapshot ~on_barrier ~aux ~jobs ~vm_for ~strategy_for
+      aux_cfg
 
-let test_snowplow_resume_matches_uninterrupted () =
-  let dir = "snap-aux" in
+let snowplow_resume_matches_uninterrupted ~jobs () =
+  let dir = Printf.sprintf "snap-aux-%d" jobs in
   let oracle =
     with_dir dir (fun dir ->
-        match snowplow_run ~snapshot_dir:dir () with
+        match snowplow_run ~jobs ~snapshot_dir:dir () with
         | Ok r -> report_bytes r
         | Error e -> Alcotest.failf "snowplow baseline failed: %s" e)
   in
@@ -422,7 +430,7 @@ let test_snowplow_resume_matches_uninterrupted () =
         | Ok s -> s
         | Error e -> Alcotest.failf "snapshot %d unreadable: %s" barrier e
       in
-      match snowplow_run ~restore:snapshot () with
+      match snowplow_run ~jobs ~restore:snapshot () with
       | Error e -> Alcotest.failf "snowplow resume at %d failed: %s" barrier e
       | Ok r ->
         check Alcotest.string
@@ -474,4 +482,6 @@ let () =
           Alcotest.test_case "latest snapshot in a dir" `Quick
             test_snapshot_latest;
           Alcotest.test_case "snowplow resume == uninterrupted" `Slow
-            test_snowplow_resume_matches_uninterrupted ] ) ]
+            (snowplow_resume_matches_uninterrupted ~jobs:2);
+          Alcotest.test_case "one-job snowplow resume" `Slow
+            (snowplow_resume_matches_uninterrupted ~jobs:1) ] ) ]
