@@ -176,11 +176,12 @@ let report_json r =
    over one shared pool. Shards fuzz independently between snapshot
    barriers, against private copies of the barrier-frozen global corpus
    and accumulator; at each barrier the main domain folds every shard's
-   epoch results into the global state in shard order (0..jobs-1). Each shard's epoch is a pure function of the frozen
-   global snapshot and its own RNG stream, and the merge order is fixed,
-   so the whole run is bit-for-bit reproducible given
-   (config.seed, jobs) — thread scheduling (and, for the scheduler,
-   slice interleaving) can change wall-clock time, never the report. *)
+   epoch results into the global state in shard order (0..jobs-1). Each
+   shard's epoch is a pure function of the frozen global snapshot and its
+   own RNG stream, and the merge order is fixed, so the whole run is
+   bit-for-bit reproducible given (config.seed, jobs) — thread scheduling
+   (and, for the scheduler, slice interleaving) can change wall-clock
+   time, never the report. *)
 
 type aux = {
   aux_json : unit -> Json.t;
@@ -259,6 +260,10 @@ let create_instance ?snapshot_dir ?restore ?(on_barrier = fun ~now:_ -> ())
     | Some b -> Sp_cfg.Cfg.distances_to (Kernel.cfg kernel) b
     | None -> [||]
   in
+  (* Directed mode: an entry's distance to the target is fixed once its
+     coverage is known, so it is computed exactly once, on admission, and
+     the corpus keeps the minimum tier indexed (no per-choice scan and no
+     hash-keyed memo). *)
   let entry_distance (entry : Corpus.entry) =
     Bitset.fold
       (fun b acc -> min acc dist_to_target.(b))

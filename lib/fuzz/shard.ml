@@ -131,6 +131,9 @@ type ctx = {
   mutable worked : bool;
 }
 
+(* The executed-set is keyed by hash but confirmed structurally, like the
+   corpus: a collision must cost a redundant execution, not skip a
+   never-run program. *)
 let seen_executed t prog h =
   match Hashtbl.find_opt t.executed h with
   | None -> false

@@ -133,6 +133,27 @@ let test_pool_many_rounds () =
           results
       done)
 
+let test_pool_inline () =
+  (* No workers: each task runs at [submit], on the submitting domain. *)
+  Pool.with_pool ~workers:0 (fun pool ->
+      let caller = Domain.self () in
+      let ran = ref false in
+      let h =
+        Pool.submit pool (fun () ->
+            ran := true;
+            Domain.self () = caller)
+      in
+      Alcotest.(check bool) "ran before submit returned" true !ran;
+      (match Pool.await h with
+      | Ok same -> Alcotest.(check bool) "on the submitting domain" true same
+      | Error e -> raise e);
+      (match Pool.run_all pool [ (fun () -> 1); (fun () -> raise (Boom 2)) ] with
+      | [ Ok 1; Error (Boom 2) ] -> ()
+      | _ -> Alcotest.fail "inline results or failure capture wrong");
+      check Alcotest.int "nothing in flight" 0 (Pool.in_flight pool);
+      check Alcotest.int "tasks counted" 3
+        (Metrics.counter (Pool.metrics pool) "pool.tasks"))
+
 (* ------------------------------------------------------------------ *)
 (* Chan                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -514,6 +535,7 @@ let () =
           Alcotest.test_case "shutdown races submitters" `Quick
             test_pool_shutdown_races_submitters;
           Alcotest.test_case "many barrier rounds" `Quick test_pool_many_rounds;
+          Alcotest.test_case "no workers: inline" `Quick test_pool_inline;
         ] );
       ( "chan",
         [
