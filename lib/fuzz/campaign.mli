@@ -54,8 +54,7 @@ type report = {
       (** loop observability: [campaign.*] counters (iterations, proposals,
           duplicates, corpus adds, crashes) and histograms (per-iteration
           virtual time, proposal wall time [campaign.propose_wall_s]),
-          plus the [vm.*] metrics the VM
-          records into the same registry *)
+          plus the [vm.*] metrics the VM records into the same registry *)
 }
 
 val run :
@@ -112,12 +111,12 @@ val run_parallel :
     [jobs = 1] the one shard runs on the calling domain and no worker
     domain is spawned. Each shard owns the VM and strategy built by
     [vm_for]/[strategy_for] for its index and a named split of the
-    campaign RNG; seed tests are dealt round-robin. Shards fuzz independently between snapshot barriers
-    (every [snapshot_every] virtual seconds); at each barrier the main
-    domain folds coverage, corpus admissions (re-judged for novelty) and
-    crashes into the global state {e in shard order}, making the run
-    bit-for-bit reproducible given [(config.seed, jobs)] regardless of
-    scheduling. [on_barrier] runs on the main domain after each merge —
+    campaign RNG; seed tests are dealt round-robin. Shards fuzz
+    independently between snapshot barriers (every [snapshot_every]
+    virtual seconds); at each barrier the main domain folds coverage,
+    corpus admissions (re-judged for novelty) and crashes into the global
+    state {e in shard order}, making the run bit-for-bit reproducible
+    given [(config.seed, jobs)] regardless of scheduling. [on_barrier] runs on the main domain after each merge —
     the hook the snowplow layer uses to flush batched inference requests.
     The report's registry carries per-shard loop/vm metrics (merged in
     shard order) and the worker pool's [pool.*] metrics.
