@@ -369,6 +369,17 @@ let instance_barrier inst = inst.i_barrier
 
 let instance_jobs inst = inst.i_jobs
 
+type snapshot_cost = { sc_bytes : int; sc_write_s : float }
+
+let snapshot_cost inst =
+  {
+    sc_bytes = Metrics.counter inst.i_metrics "snapshot.bytes_written";
+    sc_write_s =
+      (match Metrics.summary inst.i_metrics "snapshot.write_s" with
+      | Some s -> s.Metrics.sum
+      | None -> 0.0);
+  }
+
 let instance_executions inst =
   Array.fold_left
     (fun acc sh -> acc + Vm.executions (Shard.vm sh))
@@ -607,14 +618,29 @@ let complete_slice inst slice =
               ~k:inst.i_barrier)
       else None
     in
-    let file =
-      Snapshot.write ?inject ~dir ~barrier:inst.i_barrier
-        (snapshot_doc inst ~stopped:inst.i_stopped ~barrier:inst.i_barrier)
+    let file, bytes =
+      Metrics.time_wall inst.i_metrics "snapshot.write_s" (fun () ->
+          Tracer.span inst.i_tracer "snapshot.write" (fun () ->
+              Snapshot.write_sized ?inject ~dir ~barrier:inst.i_barrier
+                (snapshot_doc inst ~stopped:inst.i_stopped
+                   ~barrier:inst.i_barrier)))
     in
+    Metrics.incr ~by:bytes inst.i_metrics "snapshot.bytes_written";
+    (* Cumulative per-instance cost on the instance's trace lane; the
+       label keeps tenants apart in [snowplow stats], which sums counters
+       by name across lanes. *)
+    if Tracer.enabled inst.i_tracer then begin
+      let cost = snapshot_cost inst in
+      let name n = match inst.i_label with None -> n | Some l -> l ^ "/" ^ n in
+      Tracer.counter inst.i_tracer (name "snapshot.bytes_written")
+        (float_of_int cost.sc_bytes);
+      Tracer.counter inst.i_tracer (name "snapshot.write_s") cost.sc_write_s
+    end;
     Events.log inst.i_events ~kind:"snapshot.write"
       [ ( "label",
           match inst.i_label with None -> Json.Null | Some l -> Json.Str l );
         ("file", Json.Str file);
+        ("bytes", Json.Num (float_of_int bytes));
         ("barrier", Json.Num (float_of_int inst.i_barrier));
         ("now", Json.Num now);
         ("stopped", Json.Bool inst.i_stopped)

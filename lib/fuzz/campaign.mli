@@ -210,8 +210,12 @@ val create_instance :
 
     [events] (default {!Sp_obs.Events.null}) receives an Info
     [snapshot.write] event per persisted barrier snapshot (label, file,
-    barrier, virtual time, stop flag), emitted on the instance's own
-    domain inside [complete_slice]. *)
+    document bytes, barrier, virtual time, stop flag), emitted on the
+    instance's own domain inside [complete_slice]. The same write is a
+    [snapshot.write] trace span on the instance's main lane, followed by
+    the cumulative {!snapshot_cost} as trace counters
+    [snapshot.bytes_written] and [snapshot.write_s] (prefixed with
+    [label ^ "/"] when a label is set). *)
 
 val begin_slice : instance -> pool:Sp_util.Pool.t -> ?max_execs:int -> unit -> slice
 (** Submit every shard's next epoch to [pool] and return without
@@ -246,6 +250,18 @@ val instance_barrier : instance -> int
 (** Completed barriers (monotone; restored by {!resume} snapshots). *)
 
 val instance_jobs : instance -> int
+
+type snapshot_cost = {
+  sc_bytes : int;  (** bytes of every barrier snapshot this instance wrote *)
+  sc_write_s : float;  (** wall seconds spent building and writing them *)
+}
+
+val snapshot_cost : instance -> snapshot_cost
+(** Read from the instance registry's [snapshot.bytes_written] counter and
+    [snapshot.write_s] wall-clock timer, which every persisted barrier
+    snapshot feeds. Zero without a snapshot directory. The registry is the
+    report's [metrics]; {!report_json} leaves it out, so the report bytes
+    do not depend on it. *)
 
 val instance_executions : instance -> int
 (** Total VM executions across the instance's shards so far. *)

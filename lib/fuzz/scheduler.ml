@@ -256,6 +256,23 @@ let tenant_series statuses =
         ])
     statuses
 
+(* Per-tenant snapshot cost, from each live instance's registry (reset
+   when a failed tenant is rebuilt). *)
+let snapshot_series seats =
+  List.concat_map
+    (fun st ->
+      let labels = [ ("tenant", st.st_tenant.t_name) ] in
+      let cost = Campaign.snapshot_cost st.st_inst in
+      [ Exposition.metric ~labels Exposition.Counter
+          ~help:"bytes of barrier snapshots written"
+          "snowplow_tenant_snapshot_bytes_written"
+          (float_of_int cost.Campaign.sc_bytes);
+        Exposition.metric ~labels Exposition.Counter
+          ~help:"wall seconds spent building and writing barrier snapshots"
+          "snowplow_tenant_snapshot_write_seconds" cost.Campaign.sc_write_s
+      ])
+    seats
+
 let health_json ~running ~workers ~slices statuses =
   let count state =
     List.length (List.filter (fun ts -> ts.ts_state = state) statuses)
@@ -407,7 +424,7 @@ let run ?workers ?(trace = Trace.disabled) ?timeseries ?max_slices
             {
               Exporter.p_metrics =
                 registry_metrics metrics @ tenant_series statuses
-                @ tm.tm_extra ();
+                @ snapshot_series seats @ tm.tm_extra ();
               p_health =
                 health_json ~running ~workers ~slices:!total_slices statuses;
               p_tenants = Json.Arr (List.map tenant_status_json statuses);

@@ -14,7 +14,7 @@ type t = {
   strategy : Strategy.t;
   metrics : Metrics.t;
   tracer : Tracer.t;
-  executed : (int, Prog.t list) Hashtbl.t;
+  executed : Fpset.t;  (* fingerprints of every program this shard ran *)
   crash_seen : (string, unit) Hashtbl.t;
   mutable seeds : Prog.t list;
 }
@@ -32,7 +32,7 @@ let create ?(tracer = Tracer.null) ~id ~vm ~strategy ~rng ~seeds () =
     strategy;
     metrics;
     tracer;
-    executed = Hashtbl.create 4096;
+    executed = Fpset.create ();
     crash_seen = Hashtbl.create 16;
     seeds;
   }
@@ -48,15 +48,12 @@ let metrics t = t.metrics
 module Json = Sp_obs.Json
 
 let state_json t =
-  (* The executed set is flattened and sorted by program text so the
-     snapshot bytes are canonical — independent of Hashtbl layout, which
+  (* The executed set is written as its fingerprints, sorted, so the
+     snapshot bytes are canonical — independent of the table layout, which
      differs between an uninterrupted run and a resumed one. Membership is
-     all that matters semantically. *)
-  let executed =
-    Hashtbl.fold (fun _ bucket acc -> List.rev_append bucket acc) t.executed []
-    |> List.map Prog.to_string
-    |> List.sort String.compare
-  in
+     all that matters semantically, and 35 bytes per program keep the
+     set from dominating the file as program text did. *)
+  let executed = Fpset.to_sorted_hex t.executed in
   let crash_seen =
     Hashtbl.fold (fun d () acc -> d :: acc) t.crash_seen []
     |> List.sort String.compare
@@ -93,13 +90,12 @@ let restore_state t ~parse j =
   Rng.set_state t.rng (int64_field "rng" j);
   Vm.restore_state t.vm (field "vm" j);
   t.seeds <- List.map (parse_prog "seeds") (str_items "seeds");
-  Hashtbl.reset t.executed;
+  Fpset.clear t.executed;
   List.iter
     (fun s ->
-      let p = parse_prog "executed" s in
-      let h = Prog.hash p in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt t.executed h) in
-      Hashtbl.replace t.executed h (p :: bucket))
+      match Fpset.of_hex s with
+      | Some (hi, lo) -> ignore (Fpset.add t.executed ~hi ~lo)
+      | None -> error "shard executed: bad fingerprint %S" s)
     (str_items "executed");
   Hashtbl.reset t.crash_seen;
   List.iter (fun d -> Hashtbl.replace t.crash_seen d ()) (str_items "crash_seen")
@@ -131,17 +127,14 @@ type ctx = {
   mutable worked : bool;
 }
 
-(* The executed-set is keyed by hash but confirmed structurally, like the
-   corpus: a collision must cost a redundant execution, not skip a
-   never-run program. *)
-let seen_executed t prog h =
-  match Hashtbl.find_opt t.executed h with
-  | None -> false
-  | Some bucket -> List.exists (Prog.equal prog) bucket
-
-let mark_executed t prog h =
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt t.executed h) in
-  Hashtbl.replace t.executed h (prog :: bucket)
+(* Marks [prog] executed; [false] when it already was. Unlike the corpus
+   index, a fingerprint hit is not confirmed with [Prog.equal]: the set
+   keeps no programs. A collision would skip a never-run program, with
+   probability about n^2 / 2^127 over n executions (DESIGN.md, "Hash
+   indexes confirm structurally"). *)
+let mark_executed t prog =
+  let fp = Prog.fingerprint prog in
+  Fpset.add t.executed ~hi:fp.Prog.fp_hi ~lo:fp.Prog.fp_lo
 
 let check_target t ctx target =
   match target with
@@ -226,9 +219,7 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
     | [] -> ()
     | prog :: rest ->
       t.seeds <- rest;
-      let h = Prog.hash prog in
-      if not (seen_executed t prog h) then begin
-        mark_executed t prog h;
+      if mark_executed t prog then begin
         Vm.run_raw t.vm t.clock prog;
         ingest_raw t ctx target prog
       end
@@ -254,15 +245,13 @@ let run_epoch_inner t ?max_execs ~corpus ~accum ~target ~until () =
     List.iter
       (fun (p : Strategy.proposal) ->
         if not (finished ()) then begin
-          let h = Prog.hash p.Strategy.prog in
-          if seen_executed t p.Strategy.prog h then begin
-            Metrics.incr t.metrics "campaign.duplicates";
-            Vm.charge_duplicate t.vm t.clock
-          end
-          else begin
-            mark_executed t p.Strategy.prog h;
+          if mark_executed t p.Strategy.prog then begin
             Vm.run_raw t.vm t.clock p.Strategy.prog;
             ingest_raw ~origin:p.Strategy.origin t ctx target p.Strategy.prog
+          end
+          else begin
+            Metrics.incr t.metrics "campaign.duplicates";
+            Vm.charge_duplicate t.vm t.clock
           end
         end)
       proposals;

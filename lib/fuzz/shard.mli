@@ -1,7 +1,9 @@
 (** One shard of a campaign: the fuzz loop itself.
 
     A shard owns a private {!Vm.t}, {!Clock.t}, RNG stream and mutation
-    strategy, plus its cross-epoch executed-set and metrics registry. The
+    strategy, plus its cross-epoch executed set (an {!Fpset.t} of
+    {!Sp_syzlang.Prog.fingerprint}s — no programs are kept) and metrics
+    registry. The
     campaign executor runs shards in lockstep epochs: between two snapshot
     barriers each shard fuzzes {e independently} against a private copy of
     the barrier-frozen global corpus and coverage accumulator, recording —
@@ -43,10 +45,12 @@ val metrics : t -> Sp_util.Metrics.t
 val state_json : t -> Sp_obs.Json.t
 (** Cross-epoch mutable state for campaign snapshots: clock, RNG stream,
     VM counters, unexecuted seed slice, the executed-program dedup set
-    (canonically sorted — duplicate skips charge different virtual time
-    than executions, so membership is determinism-relevant) and the
-    per-shard crash dedup set. Metrics/tracers are observability, not
-    semantics, and are not persisted. *)
+    and the per-shard crash dedup set. The executed set is written as
+    [executed], a sorted array of 32-hex-digit fingerprints
+    ({!Fpset.to_sorted_hex}), so its bytes are canonical and cost 35 per
+    program — duplicate skips charge different virtual time than
+    executions, so membership is determinism-relevant. Metrics/tracers
+    are observability, not semantics, and are not persisted. *)
 
 val restore_state :
   t ->
@@ -55,7 +59,8 @@ val restore_state :
   unit
 (** Restore state captured by {!state_json} into a freshly created shard
     (same id, fresh clock). Raises [Sp_obs.Json.Decode.Error] on malformed
-    input or an id mismatch. *)
+    input (a program that does not parse, a string that is not a
+    fingerprint) or an id mismatch. *)
 
 type crash_event = {
   ce_crash : Sp_kernel.Kernel.crash;

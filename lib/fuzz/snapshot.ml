@@ -5,8 +5,10 @@ module Accum = Sp_coverage.Accum
 
 (* Version 2 added the always-present "aux" field (strategy-side state:
    the snowplow inference/funnel/prediction caches; [Null] for stateless
-   strategies). Version-1 documents lack it and are rejected. *)
-let format_version = 2
+   strategies). Version 3 stores each shard's "executed" set as sorted
+   32-hex-digit program fingerprints instead of program text. Documents
+   of any other version are rejected. *)
+let format_version = 3
 
 let entry_to_json (e : Corpus.entry) =
   Json.Obj
@@ -51,11 +53,14 @@ let rec mkdir_p dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ())
   end
 
-let write ?inject ~dir ~barrier json =
+let write_sized ?inject ~dir ~barrier json =
   mkdir_p dir;
   let p = path ~dir ~barrier in
-  Io.write_atomic ?inject p (Json.to_string json);
-  p
+  let data = Json.to_string json in
+  Io.write_atomic ?inject p data;
+  (p, String.length data)
+
+let write ?inject ~dir ~barrier json = fst (write_sized ?inject ~dir ~barrier json)
 
 (* Failure forensics live next to the snapshots but under a name the
    resume scan does not match, so a quarantine record can never be

@@ -42,6 +42,14 @@ val write :
     fault hook: raising from it models a crash mid-write (previous
     snapshot survives, no torn file). *)
 
+val write_sized :
+  ?inject:(unit -> unit) ->
+  dir:string ->
+  barrier:int ->
+  Sp_obs.Json.t ->
+  string * int
+(** {!write}, also returning the size of the document written in bytes. *)
+
 val failure_path : dir:string -> barrier:int -> generation:int -> string
 (** [failure-NNNNNN-gG.json] under [dir] — the quarantine forensic
     record the scheduler writes when a tenant's slice raises. The name

@@ -234,16 +234,113 @@ let validate t =
   match !problem with None -> Ok () | Some msg -> Error msg
 
 let hash t =
-  Array.fold_left
-    (fun acc c ->
-      let h =
-        List.fold_left
-          (fun acc v -> (acc * 1000003) lxor Value.content_hash v)
-          (Hashtbl.hash c.spec.Spec.name)
-          c.args
-      in
-      (acc * 65599) lxor h)
-    0 t
+  let acc = ref 0 in
+  for i = 0 to Array.length t - 1 do
+    let c = t.(i) in
+    acc :=
+      (!acc * 65599)
+      lxor Value.fold_hash (Hashtbl.hash c.spec.Spec.name) c.args
+  done;
+  !acc
+
+(* Fingerprints: two 63-bit lanes absorb one token stream that encodes
+   exactly what [equal] compares — the call count, then per call its name
+   (length, then bytes packed seven to a token) and its arguments, each
+   value as a tag and its payload (full string contents; a struct's
+   fields closed by an end tag), the argument list closed by the same end
+   tag. Tags differ from each other and from the end tag, so the encoding
+   is prefix-free: distinct programs yield distinct streams, equal
+   programs identical ones. Each lane's per-token step is a bijection of
+   the lane, with its own operations and constants; both end in a
+   full-avalanche finalizer. Leaves load and store the lanes once per
+   node, not once per token. *)
+type fingerprint = { mutable fp_hi : int; mutable fp_lo : int }
+
+let[@inline] step_hi h x =
+  let h = (h lxor x) * 0x3f58476d1ce4e5b9 in
+  h lxor (h lsr 31)
+
+let[@inline] step_lo h x =
+  let h = (h + x) * 0x14d049bb133111eb in
+  (h lsl 23) lor (h lsr 40)
+
+let absorb fp x =
+  fp.fp_hi <- step_hi fp.fp_hi x;
+  fp.fp_lo <- step_lo fp.fp_lo x
+
+let absorb2 fp x y =
+  fp.fp_hi <- step_hi (step_hi fp.fp_hi x) y;
+  fp.fp_lo <- step_lo (step_lo fp.fp_lo x) y
+
+let absorb3 fp x y z =
+  fp.fp_hi <- step_hi (step_hi (step_hi fp.fp_hi x) y) z;
+  fp.fp_lo <- step_lo (step_lo (step_lo fp.fp_lo x) y) z
+
+let absorb_string fp s =
+  let n = String.length s in
+  let hi = ref (step_hi fp.fp_hi n) and lo = ref (step_lo fp.fp_lo n) in
+  let i = ref 0 in
+  while !i < n do
+    let stop = if !i + 7 < n then !i + 7 else n in
+    let w = ref 0 in
+    for j = !i to stop - 1 do
+      w := !w lor (Char.code (String.unsafe_get s j) lsl (8 * (j - !i)))
+    done;
+    hi := step_hi !hi !w;
+    lo := step_lo !lo !w;
+    i := stop
+  done;
+  fp.fp_hi <- !hi;
+  fp.fp_lo <- !lo
+
+let end_tag = 0
+
+let rec absorb_value fp (v : Value.t) =
+  match v with
+  | Vconst n -> absorb2 fp 1 n
+  | Vint n -> absorb2 fp 2 n
+  | Vflags n -> absorb2 fp 3 n
+  | Venum n -> absorb2 fp 4 n
+  | Vlen n -> absorb2 fp 5 n
+  | Vbuf { len; seed } -> absorb3 fp 6 len seed
+  | Vstr s ->
+    absorb fp 7;
+    absorb_string fp s
+  | Vptr None -> absorb fp 8
+  | Vptr (Some v) ->
+    absorb fp 9;
+    absorb_value fp v
+  | Vstruct vs ->
+    absorb fp 10;
+    absorb_values fp vs
+  | Vres i -> absorb2 fp 11 i
+
+and absorb_values fp = function
+  | [] -> absorb fp end_tag
+  | v :: rest ->
+    absorb_value fp v;
+    absorb_values fp rest
+
+let finalize_hi h =
+  let h = (h lxor (h lsr 32)) * 0x3f51afd7ed558ccd in
+  let h = (h lxor (h lsr 29)) * 0x04ceb9fe1a85ec53 in
+  h lxor (h lsr 32)
+
+let finalize_lo h =
+  let h = (h lxor (h lsr 30)) * 0x1e3779b97f4a7c15 in
+  let h = (h lxor (h lsr 27)) * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 31)
+
+let fingerprint t =
+  let fp = { fp_hi = 0x2d358dccaa6c78a5; fp_lo = 0x0a0761d6478bd642 } in
+  absorb fp (Array.length t);
+  for i = 0 to Array.length t - 1 do
+    absorb_string fp t.(i).spec.Spec.name;
+    absorb_values fp t.(i).args
+  done;
+  fp.fp_hi <- finalize_hi fp.fp_hi;
+  fp.fp_lo <- finalize_lo fp.fp_lo;
+  fp
 
 let equal a b =
   Array.length a = Array.length b

@@ -67,7 +67,19 @@ val remove_call : t -> int -> t
 (** {1 Misc} *)
 
 val hash : t -> int
-(** Content hash for corpus deduplication. *)
+(** Content hash for corpus deduplication. Allocates nothing. Its values
+    are stable: datasets seed RNGs with it. *)
+
+type fingerprint = private { mutable fp_hi : int; mutable fp_lo : int }
+(** A 126-bit program fingerprint: two independent 63-bit lanes, read-only
+    outside this module. *)
+
+val fingerprint : t -> fingerprint
+(** One allocation-free pass over exactly what {!equal} compares — call
+    names, argument counts and every value, full string contents
+    included — whose only allocation is the result. Programs that are
+    [equal] get equal fingerprints; distinct programs collide with
+    probability about 2{^-126} per pair. *)
 
 val equal : t -> t -> bool
 

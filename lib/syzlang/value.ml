@@ -94,22 +94,44 @@ let scalar = function
   | Vstruct vs -> List.length vs
   | Vres i -> i
 
+(* [content_hash] folds each node as [(acc * 1000003) lxor part] from the
+   hash of a one-letter tag. The tag hashes are computed once here, and
+   the fold runs without building any list, so a call allocates nothing;
+   the values are the ones the list-based definition produced, which
+   [Dataset] seeds and the corpus indexes depend on. *)
+let k_mul = 1000003
+
+let tag_c = Hashtbl.hash "c"
+let tag_i = Hashtbl.hash "i"
+let tag_f = Hashtbl.hash "f"
+let tag_e = Hashtbl.hash "e"
+let tag_l = Hashtbl.hash "l"
+let tag_b = Hashtbl.hash "b"
+let tag_s = Hashtbl.hash "s"
+let tag_p0 = Hashtbl.hash "p0"
+let tag_p = Hashtbl.hash "p"
+let tag_t = Hashtbl.hash "t"
+let tag_r = Hashtbl.hash "r"
+
+let[@inline] step acc part = (acc * k_mul) lxor part
+
 let rec content_hash v =
-  let combine tag parts =
-    List.fold_left (fun acc p -> (acc * 1000003) lxor p) (Hashtbl.hash tag) parts
-  in
   match v with
-  | Vconst n -> combine "c" [ n ]
-  | Vint n -> combine "i" [ n ]
-  | Vflags n -> combine "f" [ n ]
-  | Venum n -> combine "e" [ n ]
-  | Vlen n -> combine "l" [ n ]
-  | Vbuf { len; seed } -> combine "b" [ len; seed ]
-  | Vstr s -> combine "s" [ str_hash s ]
-  | Vptr None -> combine "p0" []
-  | Vptr (Some v) -> combine "p" [ content_hash v ]
-  | Vstruct vs -> combine "t" (List.map content_hash vs)
-  | Vres i -> combine "r" [ i ]
+  | Vconst n -> step tag_c n
+  | Vint n -> step tag_i n
+  | Vflags n -> step tag_f n
+  | Venum n -> step tag_e n
+  | Vlen n -> step tag_l n
+  | Vbuf { len; seed } -> step (step tag_b len) seed
+  | Vstr s -> step tag_s (str_hash s)
+  | Vptr None -> tag_p0
+  | Vptr (Some v) -> step tag_p (content_hash v)
+  | Vstruct vs -> fold_hash tag_t vs
+  | Vres i -> step tag_r i
+
+and fold_hash acc = function
+  | [] -> acc
+  | v :: rest -> fold_hash (step acc (content_hash v)) rest
 
 let rec equal a b =
   match (a, b) with

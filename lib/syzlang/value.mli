@@ -45,7 +45,13 @@ val scalar : t -> int
 
 val content_hash : t -> int
 (** Deeper hash that also reflects buffer content seeds and nested values;
-    used for deduplicating programs and for data-dependent predicates. *)
+    used for deduplicating programs and for data-dependent predicates.
+    Allocates nothing. *)
+
+val fold_hash : int -> t list -> int
+(** [fold_hash init vs] folds [content_hash] of each value into [init]
+    as [(acc * 1000003) lxor h] — the fold [content_hash] applies to
+    struct fields, and {!Prog.hash} to a call's arguments. *)
 
 val equal : t -> t -> bool
 

@@ -78,6 +78,8 @@ fi
 echo "== scrape carries the per-tenant / funnel / breaker families =="
 grep -q 'snowplow_tenant_state' "$tmp/top.json"
 grep -q 'snowplow_tenant_executions' "$tmp/top.json"
+grep -q 'snowplow_tenant_snapshot_bytes_written' "$tmp/top.json"
+grep -q 'snowplow_tenant_snapshot_write_seconds' "$tmp/top.json"
 if [ -n "$fault_plan" ]; then
   grep -q 'snowplow_funnel_queue_depth' "$tmp/top.json"
   grep -q 'snowplow_breaker_state' "$tmp/top.json"
@@ -99,7 +101,7 @@ fi
   --trace "$tmp/armed-trace.json" \
   --timeseries "$tmp/armed-timeseries.jsonl" \
   --expect-span scheduler.slice --expect-span shard.epoch \
-  --expect-span pool.task $quarantine_span
+  --expect-span pool.task --expect-span snapshot.write $quarantine_span
 
 echo "== unarmed run (no exporter, no event log) =="
 # shellcheck disable=SC2086

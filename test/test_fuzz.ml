@@ -346,6 +346,212 @@ let test_distill_drops_redundant () =
   Alcotest.(check bool) "redundancy removed" true
     (report.Sp_fuzz.Distill.distilled_count <= 1)
 
+(* ------------------------------------------------------------------ *)
+(* Program hashes and fingerprints                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Value = Sp_syzlang.Value
+module Parser = Sp_syzlang.Parser
+module Engine = Sp_mutation.Engine
+module Fpset = Sp_fuzz.Fpset
+
+(* The list-building definitions [Value.content_hash] and [Prog.hash] had
+   before they were made allocation-free. Datasets seed RNGs with
+   [Prog.hash] and the corpus keys on it, so the fast versions must
+   return exactly these values. *)
+let rec oracle_content_hash (v : Value.t) =
+  let combine tag parts =
+    List.fold_left (fun acc p -> (acc * 1000003) lxor p) (Hashtbl.hash tag) parts
+  in
+  match v with
+  | Vconst n -> combine "c" [ n ]
+  | Vint n -> combine "i" [ n ]
+  | Vflags n -> combine "f" [ n ]
+  | Venum n -> combine "e" [ n ]
+  | Vlen n -> combine "l" [ n ]
+  | Vbuf { len; seed } -> combine "b" [ len; seed ]
+  | Vstr s -> combine "s" [ Hashtbl.hash s land 0xffffff ]
+  | Vptr None -> combine "p0" []
+  | Vptr (Some v) -> combine "p" [ oracle_content_hash v ]
+  | Vstruct vs -> combine "t" (List.map oracle_content_hash vs)
+  | Vres i -> combine "r" [ i ]
+
+let oracle_prog_hash (t : Prog.t) =
+  Array.fold_left
+    (fun acc (c : Prog.call) ->
+      let h =
+        List.fold_left
+          (fun acc v -> (acc * 1000003) lxor oracle_content_hash v)
+          (Hashtbl.hash c.Prog.spec.Sp_syzlang.Spec.name)
+          c.Prog.args
+      in
+      (acc * 65599) lxor h)
+    0 t
+
+let engine = Engine.create db
+
+(* A generated program followed by a chain of [n] Engine mutants. *)
+let mutant_chain seed n =
+  let rng = Rng.create seed in
+  let p = Gen.program rng db () in
+  let rec go acc q k =
+    if k = 0 then List.rev acc
+    else
+      let q', _ = Engine.mutate engine rng q in
+      go (q' :: acc) q' (k - 1)
+  in
+  p :: go [] p n
+
+let fp_pair p =
+  let fp = Prog.fingerprint p in
+  (fp.Prog.fp_hi, fp.Prog.fp_lo)
+
+let prop_hash_matches_oracle =
+  QCheck.Test.make ~count:100 ~name:"Prog.hash == list-based oracle"
+    QCheck.int (fun seed ->
+      List.for_all
+        (fun p ->
+          Prog.hash p = oracle_prog_hash p
+          && Array.for_all
+               (fun (c : Prog.call) ->
+                 List.for_all
+                   (fun v -> Value.content_hash v = oracle_content_hash v)
+                   c.Prog.args)
+               p)
+        (mutant_chain seed 12))
+
+let prop_fingerprint_follows_equal =
+  QCheck.Test.make ~count:100 ~name:"equal <=> equal fingerprints (mutants)"
+    QCheck.int (fun seed ->
+      let chain = Array.of_list (mutant_chain seed 16) in
+      let ok = ref true in
+      Array.iter
+        (fun a ->
+          Array.iter
+            (fun b -> if Prog.equal a b <> (fp_pair a = fp_pair b) then ok := false)
+            chain)
+        chain;
+      !ok)
+
+let prop_fingerprint_survives_text =
+  QCheck.Test.make ~count:100 ~name:"to_string -> parse keeps the fingerprint"
+    QCheck.int (fun seed ->
+      List.for_all
+        (fun p ->
+          match Parser.program db (Prog.to_string p) with
+          | Ok q -> Prog.equal p q && fp_pair p = fp_pair q
+          | Error e -> QCheck.Test.fail_reportf "round trip failed: %s" e)
+        (mutant_chain seed 8))
+
+(* Short random walks of Engine mutants (a walk restarts from a fresh
+   one-to-three-call program with probability 1/8, which keeps mutation
+   cheap). Mutants are told apart by a digest of
+   their unshared marshalled calls (names and values), a structural key
+   independent of both hashes: no two distinct ones may share a
+   fingerprint, and repeats must reproduce theirs. *)
+let test_no_fingerprint_collision () =
+  let rng = Rng.create 2024 in
+  let pool = Array.of_list (Gen.corpus rng db ~size:256) in
+  let key (p : Prog.t) =
+    Digest.string
+      (Marshal.to_string
+         (Array.map (fun (c : Prog.call) -> (c.Prog.spec.Sp_syzlang.Spec.name, c.Prog.args)) p)
+         [ Marshal.No_sharing ])
+  in
+  let by_key = Hashtbl.create 131_072 in
+  let by_fp = Hashtbl.create 131_072 in
+  let steps = ref 0 in
+  while Hashtbl.length by_key < 100_000 do
+    incr steps;
+    if !steps > 1_000_000 then Alcotest.fail "mutants stopped being new";
+    let i = Rng.int rng (Array.length pool) in
+    let m, _ = Engine.mutate engine rng pool.(i) in
+    pool.(i) <-
+      (if Rng.int rng 8 = 0 then Gen.program ~min_calls:1 ~max_calls:3 rng db ()
+       else m);
+    let k = key m and fp = fp_pair m in
+    match Hashtbl.find_opt by_key k with
+    | Some fp' ->
+      if fp <> fp' then
+        Alcotest.failf "equal programs, different fingerprints:\n%s"
+          (Prog.to_string m)
+    | None ->
+      if Hashtbl.mem by_fp fp then
+        Alcotest.failf "fingerprint collision on:\n%s" (Prog.to_string m);
+      Hashtbl.add by_key k fp;
+      Hashtbl.add by_fp fp ()
+  done
+
+let test_fpset_lanes () =
+  let s = Fpset.create () in
+  let add hi lo = Fpset.add s ~hi ~lo and mem hi lo = Fpset.mem s ~hi ~lo in
+  (* Sharing one lane never makes two fingerprints the same member. *)
+  Alcotest.(check bool) "(5,1) new" true (add 5 1);
+  Alcotest.(check bool) "(5,2) new: same hi lane" true (add 5 2);
+  Alcotest.(check bool) "(1,5) new" true (add 1 5);
+  Alcotest.(check bool) "(2,5) new: same lo lane" true (add 2 5);
+  Alcotest.(check bool) "(5,1) again" false (add 5 1);
+  Alcotest.(check bool) "(5,3) absent" false (mem 5 3);
+  Alcotest.(check bool) "(3,5) absent" false (mem 3 5);
+  Alcotest.(check bool) "(0,0) absent" false (mem 0 0);
+  Alcotest.(check bool) "(0,0) new" true (add 0 0);
+  Alcotest.(check bool) "(0,0) again" false (add 0 0);
+  Alcotest.(check bool) "(0,7) new" true (add 0 7);
+  Alcotest.(check bool) "(7,0) new" true (add 7 0);
+  Alcotest.(check int) "cardinal" 7 (Fpset.cardinal s);
+  (* Same home slot, then enough members to grow the table many times. *)
+  for k = 0 to 9 do
+    ignore (add ((k * 4096) + 3) (-k))
+  done;
+  let rng = Rng.create 11 in
+  let extra = List.init 20_000 (fun _ ->
+        (Int64.to_int (Rng.bits64 rng), Int64.to_int (Rng.bits64 rng))) in
+  List.iter (fun (hi, lo) -> ignore (add hi lo)) extra;
+  Alcotest.(check bool) "every member survives growth" true
+    (List.for_all (fun (hi, lo) -> mem hi lo) extra
+    && List.for_all (fun k -> mem ((k * 4096) + 3) (-k)) (List.init 10 Fun.id)
+    && mem 5 1 && mem 5 2 && mem 1 5 && mem 2 5 && mem 0 0 && mem 0 7
+    && mem 7 0);
+  let hex = Fpset.to_sorted_hex s in
+  Alcotest.(check int) "one hex string per member" (Fpset.cardinal s)
+    (List.length hex);
+  Alcotest.(check bool) "sorted" true (List.sort String.compare hex = hex);
+  Fpset.clear s;
+  Alcotest.(check int) "clear" 0 (Fpset.cardinal s);
+  Alcotest.(check bool) "clear forgets" false (mem 5 1 || mem 0 0)
+
+let test_fpset_hex () =
+  List.iter
+    (fun (hi, lo) ->
+      let h = Fpset.to_hex ~hi ~lo in
+      Alcotest.(check int) "32 digits" 32 (String.length h);
+      Alcotest.(check (option (pair int int))) h (Some (hi, lo)) (Fpset.of_hex h))
+    [ (0, 0); (1, -1); (max_int, min_int); (-1, max_int); (0x123456789, 42) ];
+  Alcotest.(check string) "layout" "000000000000000a7fffffffffffffff"
+    (Fpset.to_hex ~hi:10 ~lo:(-1));
+  List.iter
+    (fun bad ->
+      Alcotest.(check (option (pair int int))) bad None (Fpset.of_hex bad))
+    [ ""; "0"; String.make 31 '0'; String.make 33 '0';
+      "8" ^ String.make 31 '0'; String.make 16 '0' ^ "8" ^ String.make 15 '0';
+      "A" ^ String.make 31 '0'; "_" ^ String.make 31 '0' ]
+
+let prop_fpset_model =
+  QCheck.Test.make ~count:200 ~name:"Fpset agrees with a list model"
+    QCheck.(small_list (pair (int_bound 3) (int_bound 3)))
+    (fun ops ->
+      let s = Fpset.create () in
+      let model = ref [] in
+      List.for_all
+        (fun (hi, lo) ->
+          let fresh = not (List.mem (hi, lo) !model) in
+          if fresh then model := (hi, lo) :: !model;
+          Fpset.add s ~hi ~lo = fresh && Fpset.cardinal s = List.length !model)
+        ops
+      && List.for_all (fun (hi, lo) -> Fpset.mem s ~hi ~lo) !model)
+
+let qtest = QCheck_alcotest.to_alcotest
+
 let () =
   Alcotest.run "sp_fuzz"
     [
@@ -372,6 +578,18 @@ let () =
         [
           Alcotest.test_case "preserves coverage" `Quick test_distill_preserves_coverage;
           Alcotest.test_case "drops redundancy" `Quick test_distill_drops_redundant;
+        ] );
+      ( "fprint",
+        [
+          qtest prop_hash_matches_oracle;
+          qtest prop_fingerprint_follows_equal;
+          qtest prop_fingerprint_survives_text;
+          Alcotest.test_case "100k distinct mutants, no collision" `Quick
+            test_no_fingerprint_collision;
+          Alcotest.test_case "set keeps lane-sharing members" `Quick
+            test_fpset_lanes;
+          Alcotest.test_case "hex codec" `Quick test_fpset_hex;
+          qtest prop_fpset_model;
         ] );
       ( "campaign",
         [

@@ -296,6 +296,77 @@ let test_resume_rejects_garbage () =
   | Ok _ -> Alcotest.fail "Null snapshot accepted"
   | Error _ -> ()
 
+let read_snapshot barrier =
+  match Snapshot.read (Snapshot.path ~dir:snap_dir ~barrier) with
+  | Ok doc -> doc
+  | Error e -> Alcotest.failf "snapshot %d unreadable: %s" barrier e
+
+let with_field name v = function
+  | Json.Obj fields ->
+    Json.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) fields)
+  | _ -> Alcotest.fail "snapshot is not an object"
+
+let resume_error snapshot =
+  match Campaign.resume ~snapshot ~jobs:2 ~vm_for ~strategy_for cfg with
+  | Ok _ -> None
+  | Error e -> Some e
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A document of an older format (here: a current one relabelled version
+   2, whose executed sets hold program text) must be refused up front,
+   naming the version, rather than misread. *)
+let test_resume_rejects_old_version () =
+  ignore (Lazy.force baseline);
+  let doc = with_field "version" (Json.Num 2.0) (read_snapshot 1) in
+  match resume_error doc with
+  | None -> Alcotest.fail "version-2 snapshot accepted"
+  | Some e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error names the format version (%s)" e)
+      true
+      (contains ~sub:"format version 2" e)
+
+let shard_executed doc =
+  List.map
+    (fun sj -> Json.Decode.arr_field "executed" sj)
+    (Json.Decode.arr_field "shards" doc)
+
+let test_resume_rejects_bad_fingerprint () =
+  ignore (Lazy.force baseline);
+  let doc = read_snapshot 1 in
+  let shards = Json.Decode.arr_field "shards" doc in
+  let bad =
+    List.map (with_field "executed" (Json.Arr [ Json.Str "open(0x0)" ])) shards
+  in
+  match resume_error (with_field "shards" (Json.Arr bad) doc) with
+  | None -> Alcotest.fail "program text accepted as a fingerprint"
+  | Some e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "error names the field (%s)" e)
+      true
+      (contains ~sub:"executed" e)
+
+(* Snapshot size must follow the executed-set size at a fixed, small cost
+   per program: 32 hex digits, quotes and a comma. Program text, which
+   grew every snapshot with the campaign, must not come back. *)
+let test_executed_set_stays_compact () =
+  ignore (Lazy.force baseline);
+  let doc = read_snapshot 3 in
+  List.iteri
+    (fun s items ->
+      let n = List.length items in
+      let bytes = String.length (Json.to_string (Json.Arr items)) in
+      Alcotest.(check bool) (Printf.sprintf "shard %d executed something" s) true (n > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d: %d bytes for %d programs <= 40 each" s bytes n)
+        true
+        (bytes <= 40 * n))
+    (shard_executed doc)
+
 (* ------------------------------------------------------------------ *)
 (* Snowplow aux state: inference / funnel / prediction memos            *)
 (* ------------------------------------------------------------------ *)
@@ -475,7 +546,13 @@ let () =
           Alcotest.test_case "config mismatch rejected" `Quick
             test_resume_rejects_config_mismatch;
           Alcotest.test_case "garbage snapshot rejected" `Quick
-            test_resume_rejects_garbage ] );
+            test_resume_rejects_garbage;
+          Alcotest.test_case "old format version rejected" `Quick
+            test_resume_rejects_old_version;
+          Alcotest.test_case "bad fingerprint rejected" `Quick
+            test_resume_rejects_bad_fingerprint;
+          Alcotest.test_case "executed set <= 40 B/program" `Quick
+            test_executed_set_stays_compact ] );
       ( "aux",
         [ Alcotest.test_case "inference state round-trip" `Quick
             test_inference_state_roundtrip;
