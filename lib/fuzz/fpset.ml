@@ -19,8 +19,6 @@ let create () =
     zero = false;
   }
 
-let cardinal t = t.count + if t.zero then 1 else 0
-
 let rec probe his los mask ~hi ~lo i =
   let h = Array.unsafe_get his i and l = Array.unsafe_get los i in
   if (h = hi && l = lo) || (h = 0 && l = 0) then i
@@ -30,12 +28,6 @@ let rec probe his los mask ~hi ~lo i =
 let slot his los ~hi ~lo =
   let mask = Array.length his - 1 in
   probe his los mask ~hi ~lo (hi land mask)
-
-let mem t ~hi ~lo =
-  if hi = 0 && lo = 0 then t.zero
-  else
-    let i = slot t.his t.los ~hi ~lo in
-    t.his.(i) = hi && t.los.(i) = lo
 
 let grow t =
   let his = Array.make (2 * Array.length t.his) 0 in

@@ -1,8 +1,8 @@
 (** A set of 126-bit program fingerprints ({!Sp_syzlang.Prog.fingerprint}):
     the shard's executed set.
 
-    Open addressing over two [int] arrays, one per lane, so a member costs
-    two words of table and no heap block. Membership compares both lanes;
+    Open addressing over two [int] arrays, one per lane, kept at most half
+    full: a member costs two to four words of table and no heap block. Membership compares both lanes:
     two fingerprints that share one lane and differ in the other are
     distinct members. Iteration order depends on the table layout, so
     anything serialized goes through the canonical {!to_sorted_hex}. *)
@@ -10,10 +10,6 @@
 type t
 
 val create : unit -> t
-
-val cardinal : t -> int
-
-val mem : t -> hi:int -> lo:int -> bool
 
 val add : t -> hi:int -> lo:int -> bool
 (** Insert; [true] when the fingerprint was not a member before. *)
