@@ -1179,27 +1179,37 @@ let show_trace path ~top ~strict ~expect_spans problem =
                path
                (Trace_check.total_dropped s))
       end;
-      if s.Trace_check.span_stats <> [] then begin
-        Printf.printf "\n  %-24s %8s %12s %12s\n" "hottest spans" "count"
-          "total ms" "max ms";
-        List.iteri
-          (fun i (st : Trace_check.span_stat) ->
-            if i < top then
-              Printf.printf "  %-24s %8d %12.3f %12.3f\n" st.Trace_check.span
-                st.Trace_check.spans
-                (st.Trace_check.total_us /. 1000.0)
-                (st.Trace_check.max_us /. 1000.0))
-          s.Trace_check.span_stats
-      end;
-      if s.Trace_check.counter_stats <> [] then begin
-        Printf.printf "\n  %-24s %8s %12s\n" "counters" "samples" "last";
-        List.iteri
-          (fun i (c : Trace_check.counter_stat) ->
-            if i < top then
-              Printf.printf "  %-24s %8d %12g\n" c.Trace_check.counter
-                c.Trace_check.samples c.Trace_check.last)
-          s.Trace_check.counter_stats
-      end;
+      (* Each column is as wide as its widest cell, so long per-tenant
+         names cannot push the numbers out of line. *)
+      let print_top header row stats =
+        if stats <> [] then begin
+          let t = Sp_util.Table.create ~header () in
+          List.iteri
+            (fun i st -> if i < top then Sp_util.Table.add_row t (row st))
+            stats;
+          print_newline ();
+          Sp_util.Table.print
+            ~aligns:
+              (Sp_util.Table.Left
+              :: List.map (fun _ -> Sp_util.Table.Right) (List.tl header))
+            t
+        end
+      in
+      print_top [ "hottest spans"; "count"; "total ms"; "max ms" ]
+        (fun (st : Trace_check.span_stat) ->
+          [ st.Trace_check.span;
+            string_of_int st.Trace_check.spans;
+            Printf.sprintf "%.3f" (st.Trace_check.total_us /. 1000.0);
+            Printf.sprintf "%.3f" (st.Trace_check.max_us /. 1000.0)
+          ])
+        s.Trace_check.span_stats;
+      print_top [ "counters"; "samples"; "last" ]
+        (fun (c : Trace_check.counter_stat) ->
+          [ c.Trace_check.counter;
+            string_of_int c.Trace_check.samples;
+            Printf.sprintf "%g" c.Trace_check.last
+          ])
+        s.Trace_check.counter_stats;
       List.iter
         (fun name ->
           if not (Trace_check.has_span s name) then

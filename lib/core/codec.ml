@@ -1,8 +1,7 @@
 (* JSON codecs for the snowplow-layer snapshot state (inference service,
    funnel, prediction caches). Programs travel as their canonical text —
-   the same convention as the campaign snapshots — and cache keys as
-   int64 hex strings, because [Inference.targets_key] mixes hashes past
-   the float-exact integer range. *)
+   the same convention as the campaign snapshots — and program
+   fingerprints as the executed set's 32-hex-digit strings. *)
 
 module Json = Sp_obs.Json
 module Prog = Sp_syzlang.Prog
@@ -43,15 +42,16 @@ let paths_of_json j =
   | Json.Arr items -> List.map path_of_json items
   | _ -> Json.Decode.error "paths: expected array"
 
-let key_to_json k = Json.Decode.int64_to_json (Int64.of_int k)
+let fingerprint_to_json (fp : Prog.fingerprint) =
+  Json.Str (Sp_fuzz.Fpset.to_hex ~hi:fp.Prog.fp_hi ~lo:fp.Prog.fp_lo)
 
-let key_of_json name j =
+let fingerprint_of_json name j =
   match j with
-  | Json.Str _ ->
-    (* [Decode.int64_field] is the only int64 reader; borrow it through
-       a one-field wrapper object. *)
-    Int64.to_int (Json.Decode.int64_field "key" (Json.Obj [ ("key", j) ]))
-  | _ -> Json.Decode.error "%s: expected an int64 hex string" name
+  | Json.Str s -> (
+    match Sp_fuzz.Fpset.of_hex s with
+    | Some (fp_hi, fp_lo) -> { Prog.fp_hi; fp_lo }
+    | None -> Json.Decode.error "%s: bad fingerprint %S" name s)
+  | _ -> Json.Decode.error "%s: expected a fingerprint string" name
 
 let int_list_to_json xs =
   Json.Arr (List.map (fun i -> Json.Num (float_of_int i)) xs)
@@ -67,30 +67,31 @@ let int_list_of_json name j =
   | _ -> Json.Decode.error "%s: expected array" name
 
 (* An LRU cache as a JSON array, most recently used first, each element
-   [{"key", "written_at", "value"}]. Restoring re-puts oldest-first with
-   [~now:written_at], which reconstructs both the recency order and the
-   TTL stamps exactly. *)
-let lru_to_json ~key_to_json ~value_to_json lru =
+   the entry's own fields plus ["written_at"]. Restoring re-puts
+   oldest-first with [~now:written_at], which reconstructs both the
+   recency order and the TTL stamps exactly. *)
+let lru_to_json ~entry_fields lru =
   Json.Arr
     (List.map
        (fun (k, v, written_at) ->
-         Json.Obj
-           [ ("key", key_to_json k);
-             ("written_at", Json.Num written_at);
-             ("value", value_to_json v)
-           ])
+         Json.Obj (entry_fields k v @ [ ("written_at", Json.Num written_at) ]))
        (Sp_util.Lru.to_list lru))
 
-let lru_restore ~key_of_json ~value_of_json lru j =
-  let open Json.Decode in
+let lru_restore ~entry_of_json lru j =
   match j with
   | Json.Arr items ->
     Sp_util.Lru.clear lru;
     List.iter
       (fun it ->
-        let k = key_of_json (field "key" it) in
-        let written_at = num_field "written_at" it in
-        let v = value_of_json (field "value" it) in
+        let k, v = entry_of_json it in
+        let written_at = Json.Decode.num_field "written_at" it in
         Sp_util.Lru.put lru ~now:written_at k v)
       (List.rev items)
-  | _ -> error "lru: expected array"
+  | _ -> Json.Decode.error "lru: expected array"
+
+let fingerprint_paths_fields fp paths =
+  [ ("key", fingerprint_to_json fp); ("paths", paths_to_json paths) ]
+
+let fingerprint_paths_of_json name e =
+  let open Json.Decode in
+  (fingerprint_of_json name (field "key" e), paths_of_json (field "paths" e))

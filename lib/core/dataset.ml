@@ -51,7 +51,7 @@ let execute config rng kernel prog =
 (* Successful raw samples for one base: (localized paths, new blocks). *)
 let raw_samples config rng kernel engine base (base_exec : Kernel.result) =
   let seen = Hashtbl.create 64 in
-  Hashtbl.add seen (Prog.hash base) ();
+  Hashtbl.add seen (Prog.fingerprint base) ();
   let localizer = Engine.syzkaller_arg_localizer ~max_args:config.max_args_per_mutation () in
   let samples = ref [] in
   for _j = 1 to config.mutations_per_base do
@@ -59,9 +59,9 @@ let raw_samples config rng kernel engine base (base_exec : Kernel.result) =
     | [] -> ()
     | paths ->
       let mutant = Engine.mutate_args_at engine rng base paths in
-      let h = Prog.hash mutant in
-      if not (Hashtbl.mem seen h) then begin
-        Hashtbl.add seen h ();
+      let fp = Prog.fingerprint mutant in
+      if not (Hashtbl.mem seen fp) then begin
+        Hashtbl.add seen fp ();
         let r = execute config rng kernel mutant in
         if r.Kernel.crash = None then begin
           let fresh = ref [] in

@@ -16,7 +16,8 @@
     Predictions are broadcast (rather than routed to the requesting
     shard) because shards frequently mutate the same corpus entries: a
     prediction for a base test is useful to every shard that holds it,
-    and each shard's strategy memoizes by base-program hash anyway.
+    and each shard's strategy memoizes by base-program fingerprint
+    anyway.
 
     {b Multi-tenancy.} {!create_multi} gives each of N campaigns its own
     lane — a private range of shard slots — over the single shared

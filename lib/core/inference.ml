@@ -8,7 +8,8 @@ module Tracer = Sp_obs.Tracer
 type pending = {
   ready_at : float;
   requested_at : float;
-  prog : Prog.t;
+  prog : Prog.t;  (* kept: a cancelled request is sent again *)
+  fp : Prog.fingerprint;  (* [prog]'s *)
   prediction : Prog.path list;
   from_cache : bool;
   tag : int;  (* tenant id under the scheduler; 0 for solo campaigns *)
@@ -17,15 +18,6 @@ type pending = {
          degraded funnel can re-issue a cancelled request — [] otherwise,
          and omitted from snapshots when empty, keeping unarmed snapshots
          byte-identical *)
-}
-
-(* Cache values carry the program (and target set) they were computed for:
-   keys are int hashes, and two distinct queries may collide, so a hit is
-   only a hit after a structural check. *)
-type cached = {
-  src_prog : Prog.t;
-  src_targets : int list;  (* sorted; [] for the per-program soft memo *)
-  answer : Prog.path list;
 }
 
 type t = {
@@ -43,10 +35,11 @@ type t = {
   mutable cache_hits : int;
   mutable cancelled : int;  (* requests removed by [cancel_overdue] *)
   mutable latency_sum : float;
-  cache : (int, cached) Lru.t;
+  cache : (Prog.fingerprint * int list, Prog.path list) Lru.t;
+      (* keyed by (base, sorted targets) *)
   (* secondary memo per base test: a recent answer for the same base with a
      slightly different target set is close enough while fresh *)
-  by_prog : (int, cached) Lru.t;
+  by_prog : (Prog.fingerprint, Prog.path list) Lru.t;
   (* per-tenant accounting under the scheduler: tag -> counters *)
   tag_stats : (int, tag_stats) Hashtbl.t;
   metrics : Metrics.t;
@@ -101,39 +94,21 @@ let predict_now t prog ~targets =
     Pmm.predict ~memo:t.memo t.model ~block_embs:t.block_embs graph
   end
 
-let targets_key prog targets =
-  List.fold_left
-    (fun acc b -> (acc * 1000003) lxor b)
-    (Prog.hash prog)
-    (List.sort compare targets)
-
-let lookup t ~now prog ~sorted_targets key =
-  let confirmed ~check_targets = function
-    | Some c
-      when Prog.equal c.src_prog prog
-           && ((not check_targets) || c.src_targets = sorted_targets) ->
-      Some c.answer
-    | Some _ ->
-      (* A different query hashed onto this slot: a miss, not a hit. *)
-      Metrics.incr t.metrics "inference.key_collisions";
-      None
-    | None -> None
-  in
-  match confirmed ~check_targets:true (Lru.find t.cache ~now key) with
-  | Some answer -> Some answer
-  | None ->
-    confirmed ~check_targets:false (Lru.find t.by_prog ~now (Prog.hash prog))
+let lookup t ~now ((fp, _) as key) =
+  match Lru.find t.cache ~now key with
+  | Some _ as hit -> hit
+  | None -> Lru.find t.by_prog ~now fp
 
 let request t ?(tag = 0) ?(extra_latency = 0.0) ?(record_targets = false) ~now
     prog ~targets =
   Metrics.incr t.metrics "inference.requests";
   let ts = stats_for t tag in
   ts.ts_requests <- ts.ts_requests + 1;
+  let fp = Prog.fingerprint prog in
   let sorted_targets = List.sort compare targets in
-  let key = targets_key prog targets in
   let enqueue p ok = Fqueue.push t.queue p; ok in
   let full = Fqueue.length t.queue >= t.max_pending in
-  match lookup t ~now prog ~sorted_targets key with
+  match lookup t ~now (fp, sorted_targets) with
   | Some _ when full ->
     (* The bound applies to every admission: a memoized answer still
        occupies a pending slot until the fuzzer polls it. *)
@@ -149,7 +124,7 @@ let request t ?(tag = 0) ?(extra_latency = 0.0) ?(record_targets = false) ~now
     ts.ts_cache_hits <- ts.ts_cache_hits + 1;
     Metrics.incr t.metrics "inference.cache_hits";
     enqueue
-      { ready_at = now; requested_at = now; prog; prediction = cached;
+      { ready_at = now; requested_at = now; prog; fp; prediction = cached;
         from_cache = true; tag; targets = [] }
       true
   | None ->
@@ -173,17 +148,18 @@ let request t ?(tag = 0) ?(extra_latency = 0.0) ?(record_targets = false) ~now
             predict_now t prog ~targets)
       in
       Metrics.incr t.metrics "inference.computed";
-      Lru.put t.cache ~now key
-        { src_prog = prog; src_targets = sorted_targets; answer = prediction };
-      Lru.put t.by_prog ~now (Prog.hash prog)
-        { src_prog = prog; src_targets = []; answer = prediction };
+      Lru.put t.cache ~now (fp, sorted_targets) prediction;
+      Lru.put t.by_prog ~now fp prediction;
       enqueue
-        { ready_at; requested_at = now; prog; prediction; from_cache = false;
-          tag; targets = (if record_targets then sorted_targets else []) }
+        { ready_at; requested_at = now; prog; fp; prediction;
+          from_cache = false; tag;
+          targets = (if record_targets then sorted_targets else []) }
         true
     end
 
-let poll_detailed t ?tag ~now () =
+(* Remove and account every completion due by [now]; each comes with its
+   virtual latency. *)
+let take_ready t ?tag ~now () =
   let wanted p =
     p.ready_at <= now && match tag with None -> true | Some g -> p.tag = g
   in
@@ -201,12 +177,15 @@ let poll_detailed t ?tag ~now () =
         Metrics.incr t.metrics "inference.served";
         Metrics.observe t.metrics "inference.latency_s" latency
       end;
-      (p.prog, p.prediction, latency))
+      (p, latency))
     ready
 
+let poll_detailed t ?tag ~now () =
+  List.map (fun (p, latency) -> (p.fp, p.prediction, latency))
+    (take_ready t ?tag ~now ())
+
 let poll t ?tag ~now () =
-  List.map (fun (prog, prediction, _) -> (prog, prediction))
-    (poll_detailed t ?tag ~now ())
+  List.map (fun (p, _) -> (p.prog, p.prediction)) (take_ready t ?tag ~now ())
 
 let cancel_overdue t ?tag ~now ~older_than () =
   let overdue p =
@@ -242,12 +221,15 @@ let request_batch t ?tag ~now reqs =
 
 type endpoint = {
   ep_request : now:float -> Prog.t -> targets:int list -> bool;
-  ep_poll : now:float -> (Prog.t * Prog.path list) list;
+  ep_poll : now:float -> (Prog.fingerprint * Prog.path list) list;
 }
 
 let endpoint t =
   { ep_request = (fun ~now prog ~targets -> request t ~now prog ~targets);
-    ep_poll = (fun ~now -> poll t ~now ()) }
+    ep_poll =
+      (fun ~now ->
+        List.map (fun (fp, paths, _) -> (fp, paths)) (poll_detailed t ~now ()))
+  }
 
 let served t = t.served
 
@@ -297,10 +279,12 @@ let pending_to_json p =
 
 let pending_of_json ~parse j =
   let open Json.Decode in
+  let prog = Codec.prog_of_json ~parse "pending prog" (field "prog" j) in
   {
     ready_at = num_field "ready_at" j;
     requested_at = num_field "requested_at" j;
-    prog = Codec.prog_of_json ~parse "pending prog" (field "prog" j);
+    prog;
+    fp = Prog.fingerprint prog;
     prediction = Codec.paths_of_json (field "prediction" j);
     from_cache = bool_field "from_cache" j;
     tag = int_field "tag" j;
@@ -310,20 +294,15 @@ let pending_of_json ~parse j =
       | Some tj -> Codec.int_list_of_json "targets" tj);
   }
 
-let cached_to_json c =
-  Json.Obj
-    [ ("src_prog", Codec.prog_to_json c.src_prog);
-      ("src_targets", Codec.int_list_to_json c.src_targets);
-      ("answer", Codec.paths_to_json c.answer)
-    ]
+(* Cache entries carry no program: the fingerprint key is the identity. *)
+let cache_fields (fp, targets) paths =
+  ("targets", Codec.int_list_to_json targets)
+  :: Codec.fingerprint_paths_fields fp paths
 
-let cached_of_json ~parse j =
-  let open Json.Decode in
-  {
-    src_prog = Codec.prog_of_json ~parse "cached prog" (field "src_prog" j);
-    src_targets = Codec.int_list_of_json "src_targets" (field "src_targets" j);
-    answer = Codec.paths_of_json (field "answer" j);
-  }
+let cache_entry_of_json j =
+  let fp, paths = Codec.fingerprint_paths_of_json "cache key" j in
+  ( (fp, Codec.int_list_of_json "cache targets" (Json.Decode.field "targets" j)),
+    paths )
 
 let state_json t =
   let tag_stats =
@@ -345,12 +324,9 @@ let state_json t =
       ("cache_hits", Json.Num (float_of_int t.cache_hits));
       ("latency_sum", Json.Num t.latency_sum);
       ("queue", Json.Arr (List.map pending_to_json (Fqueue.to_list t.queue)));
-      ( "cache",
-        Codec.lru_to_json ~key_to_json:Codec.key_to_json
-          ~value_to_json:cached_to_json t.cache );
+      ("cache", Codec.lru_to_json ~entry_fields:cache_fields t.cache);
       ( "by_prog",
-        Codec.lru_to_json ~key_to_json:Codec.key_to_json
-          ~value_to_json:cached_to_json t.by_prog );
+        Codec.lru_to_json ~entry_fields:Codec.fingerprint_paths_fields t.by_prog );
       ("tag_stats", Json.Arr tag_stats)
     ]
     (* Same conditional-emission rule as pending targets. *)
@@ -372,12 +348,10 @@ let restore_state t ~parse j =
   List.iter
     (fun pj -> Fqueue.push t.queue (pending_of_json ~parse pj))
     (arr_field "queue" j);
+  Codec.lru_restore ~entry_of_json:cache_entry_of_json t.cache (field "cache" j);
   Codec.lru_restore
-    ~key_of_json:(Codec.key_of_json "cache key")
-    ~value_of_json:(cached_of_json ~parse) t.cache (field "cache" j);
-  Codec.lru_restore
-    ~key_of_json:(Codec.key_of_json "by_prog key")
-    ~value_of_json:(cached_of_json ~parse) t.by_prog (field "by_prog" j);
+    ~entry_of_json:(Codec.fingerprint_paths_of_json "by_prog key")
+    t.by_prog (field "by_prog" j);
   Hashtbl.reset t.tag_stats;
   List.iter
     (fun sj ->

@@ -9,9 +9,9 @@
     runs); only the delivery time is simulated.
 
     Both prediction caches are bounded LRUs ([Sp_util.Lru]) with TTL
-    expiry, so memory stays constant over arbitrarily long campaigns; cache
-    keys are int hashes and every hit is confirmed structurally before
-    reuse (a hash collision is a miss, never a wrong answer). *)
+    expiry, so memory stays constant over arbitrarily long campaigns. They
+    key by {!Sp_syzlang.Prog.fingerprint} and hold only the predicted
+    paths. *)
 
 type t
 
@@ -82,10 +82,11 @@ val poll_detailed :
   ?tag:int ->
   now:float ->
   unit ->
-  (Sp_syzlang.Prog.t * Sp_syzlang.Prog.path list * float) list
-(** {!poll} plus each completion's virtual latency (0 for cache hits) —
-    what the degraded funnel feeds its circuit breaker. Identical
-    accounting and removal semantics to {!poll}. *)
+  (Sp_syzlang.Prog.fingerprint * Sp_syzlang.Prog.path list * float) list
+(** {!poll} with each base as its fingerprint, plus each completion's
+    virtual latency (0 for cache hits) — what the funnel delivers and
+    its degraded lane feeds its circuit breaker. Identical accounting and
+    removal semantics to {!poll}. *)
 
 val cancel_overdue :
   t ->
@@ -118,7 +119,10 @@ val request_batch :
 
 type endpoint = {
   ep_request : now:float -> Sp_syzlang.Prog.t -> targets:int list -> bool;
-  ep_poll : now:float -> (Sp_syzlang.Prog.t * Sp_syzlang.Prog.path list) list;
+  ep_poll :
+    now:float ->
+    (Sp_syzlang.Prog.fingerprint * Sp_syzlang.Prog.path list) list;
+      (** Delivered predictions, each keyed by its base's fingerprint. *)
 }
 
 val endpoint : t -> endpoint

@@ -31,7 +31,7 @@ let aux ~parse ~inference ~funnel ~predictions =
         error "Persist.aux: snapshot has %d prediction memos, campaign has %d"
           (List.length ps) (Array.length predictions);
       List.iteri
-        (fun i pj -> Hybrid.restore_predictions ~parse predictions.(i) pj)
+        (fun i pj -> Hybrid.restore_predictions predictions.(i) pj)
         ps
     | _ -> error "Persist.aux: predictions: expected array"
   in

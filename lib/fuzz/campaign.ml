@@ -367,8 +367,6 @@ let instance_stopped inst = inst.i_stopped
 
 let instance_barrier inst = inst.i_barrier
 
-let instance_jobs inst = inst.i_jobs
-
 type snapshot_cost = { sc_bytes : int; sc_write_s : float }
 
 let snapshot_cost inst =

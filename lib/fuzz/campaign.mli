@@ -249,8 +249,6 @@ val instance_stopped : instance -> bool
 val instance_barrier : instance -> int
 (** Completed barriers (monotone; restored by {!resume} snapshots). *)
 
-val instance_jobs : instance -> int
-
 type snapshot_cost = {
   sc_bytes : int;  (** bytes of every barrier snapshot this instance wrote *)
   sc_write_s : float;  (** wall seconds spent building and writing them *)

@@ -5,11 +5,12 @@
     coverage so base-test selection and query-graph construction never
     re-execute.
 
-    Deduplication is indexed by content hash but confirmed by structural
-    equality, so two distinct programs whose hashes collide both stay in
-    the corpus. In directed mode the corpus also maintains the minimum
-    distance-to-target tier incrementally as entries arrive, making
-    directed base selection O(1) rather than an O(n) scan per choice. *)
+    Deduplication keys on {!Sp_syzlang.Prog.fingerprint} through an
+    {!Fpset.t}: equal programs share a fingerprint, and distinct ones
+    collide with probability about n{^2}/2{^127} over n entries. In
+    directed mode the corpus also maintains the minimum distance-to-target
+    tier incrementally as entries arrive, making directed base selection
+    O(1) rather than an O(n) scan per choice. *)
 
 type entry = {
   prog : Sp_syzlang.Prog.t;
@@ -20,13 +21,10 @@ type entry = {
 
 type t
 
-val create :
-  ?hash:(Sp_syzlang.Prog.t -> int) -> ?distance:(entry -> int) -> unit -> t
-(** [hash] defaults to [Prog.hash]; it is an index, not an identity —
-    equality is always confirmed structurally (tests inject degenerate
-    hashes to exercise collisions). [distance] enables directed mode: it is
-    evaluated once per entry at [add] time (coverage is immutable, so the
-    distance is too) and drives [choose_directed]. *)
+val create : ?distance:(entry -> int) -> unit -> t
+(** [distance] enables directed mode: it is evaluated once per entry at
+    [add] time (coverage is immutable, so the distance is too) and drives
+    [choose_directed]. *)
 
 val copy : t -> t
 (** An independent corpus with the same entries and distance index;
@@ -41,8 +39,8 @@ val entries : t -> entry list
 val nth : t -> int -> entry
 
 val add : t -> entry -> bool
-(** False (and no insertion) when a structurally equal program is already
-    present. *)
+(** False (and no insertion) when a program with the same fingerprint is
+    already present. *)
 
 val mem_prog : t -> Sp_syzlang.Prog.t -> bool
 

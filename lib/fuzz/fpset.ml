@@ -9,7 +9,8 @@ type t = {
   mutable zero : bool;
 }
 
-let initial_capacity = 4096
+(* Small: every shard epoch copies the corpus's set. *)
+let initial_capacity = 64
 
 let create () =
   {
@@ -28,6 +29,14 @@ let rec probe his los mask ~hi ~lo i =
 let slot his los ~hi ~lo =
   let mask = Array.length his - 1 in
   probe his los mask ~hi ~lo (hi land mask)
+
+let mem t ~hi ~lo =
+  if hi = 0 && lo = 0 then t.zero
+  else
+    let i = slot t.his t.los ~hi ~lo in
+    t.his.(i) = hi && t.los.(i) = lo
+
+let copy t = { t with his = Array.copy t.his; los = Array.copy t.los }
 
 let grow t =
   let his = Array.make (2 * Array.length t.his) 0 in

@@ -1,11 +1,12 @@
 (** A set of 126-bit program fingerprints ({!Sp_syzlang.Prog.fingerprint}):
-    the shard's executed set.
+    the shard's executed set and the corpus's dedup index.
 
     Open addressing over two [int] arrays, one per lane, kept at most half
-    full: a member costs two to four words of table and no heap block. Membership compares both lanes:
-    two fingerprints that share one lane and differ in the other are
-    distinct members. Iteration order depends on the table layout, so
-    anything serialized goes through the canonical {!to_sorted_hex}. *)
+    full: a member costs two to four words of table and no heap block.
+    Membership compares both lanes: two fingerprints that share one lane
+    and differ in the other are distinct members. Iteration order depends
+    on the table layout, so anything serialized goes through the canonical
+    {!to_sorted_hex}. *)
 
 type t
 
@@ -13,6 +14,11 @@ val create : unit -> t
 
 val add : t -> hi:int -> lo:int -> bool
 (** Insert; [true] when the fingerprint was not a member before. *)
+
+val mem : t -> hi:int -> lo:int -> bool
+
+val copy : t -> t
+(** An independent set with the same members. *)
 
 val clear : t -> unit
 

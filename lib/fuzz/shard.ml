@@ -127,11 +127,10 @@ type ctx = {
   mutable worked : bool;
 }
 
-(* Marks [prog] executed; [false] when it already was. Unlike the corpus
-   index, a fingerprint hit is not confirmed with [Prog.equal]: the set
-   keeps no programs. A collision would skip a never-run program, with
-   probability about n^2 / 2^127 over n executions (DESIGN.md, "Hash
-   indexes confirm structurally"). *)
+(* Marks [prog] executed; [false] when it already was. The set keeps no
+   programs: a fingerprint collision would skip a never-run program, with
+   probability about n^2 / 2^127 over n executions (DESIGN.md, "One
+   program identity"). *)
 let mark_executed t prog =
   let fp = Prog.fingerprint prog in
   Fpset.add t.executed ~hi:fp.Prog.fp_hi ~lo:fp.Prog.fp_lo

@@ -6,9 +6,13 @@ module Accum = Sp_coverage.Accum
 (* Version 2 added the always-present "aux" field (strategy-side state:
    the snowplow inference/funnel/prediction caches; [Null] for stateless
    strategies). Version 3 stores each shard's "executed" set as sorted
-   32-hex-digit program fingerprints instead of program text. Documents
-   of any other version are rejected. *)
-let format_version = 3
+   32-hex-digit program fingerprints instead of program text. Version 4
+   keys the aux caches, the funnel's inboxes and its attempt counts by
+   the same fingerprints, with no program text; programs remain only
+   where they must be sent again (the inference queue, the funnel's
+   outboxes and retries). Documents of any other version are
+   rejected. *)
+let format_version = 4
 
 let entry_to_json (e : Corpus.entry) =
   Json.Obj
@@ -81,23 +85,9 @@ let read file =
   | exception Sys_error msg -> Error msg
   | data -> Json.of_string data
 
-(* Highest-numbered snapshot in [dir]: what `--resume` continues from.
-   Matching on the exact file-name shape (not lexicographic order of
-   everything in the directory) keeps temp files and strangers out. *)
-let latest ~dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> None
-  | names ->
-    Array.fold_left
-      (fun best name ->
-        match Scanf.sscanf_opt name "snapshot-%06d.json%!" (fun b -> b) with
-        | Some b when (match best with None -> true | Some (b0, _) -> b > b0)
-          ->
-          Some (b, Filename.concat dir name)
-        | Some _ | None -> best)
-      None names
-
-(* All snapshots in [dir], highest barrier first. *)
+(* All snapshots in [dir], highest barrier first. Matching on the exact
+   file-name shape (not lexicographic order of everything in the
+   directory) keeps temp files and strangers out. *)
 let all_desc ~dir =
   match Sys.readdir dir with
   | exception Sys_error _ -> []
@@ -108,6 +98,9 @@ let all_desc ~dir =
            | Some b -> Some (b, Filename.concat dir name)
            | None -> None)
     |> List.sort (fun (a, _) (b, _) -> compare b a)
+
+(* Highest-numbered snapshot in [dir]: what `--resume` continues from. *)
+let latest ~dir = match all_desc ~dir with [] -> None | newest :: _ -> Some newest
 
 let latest_valid ?(events = Sp_obs.Events.null) ~dir () =
   let rec scan = function

@@ -54,8 +54,6 @@ val execute_raw :
     Valid until the next [execute_raw] on the same scratch; the stampset
     views are invalidated in O(1) by that next run. *)
 
-val scratch_code : scratch -> code
-
 val crashed : scratch -> bool
 
 val crash_of_scratch : scratch -> crash option

@@ -14,7 +14,7 @@ type algo =
     }
   | Sgd of { momentum : float; vel : float array array }
 
-type t = { params : Ad.t array; mutable lr : float; algo : algo }
+type t = { params : Ad.t array; lr : float; algo : algo }
 
 let slot_arrays params =
   Array.map (fun p -> Array.make (Tensor.numel (Ad.value p)) 0.0) params
@@ -71,7 +71,5 @@ let step t =
       t.params
 
 let zero_grad t = Array.iter Ad.zero_grad t.params
-
-let set_lr t lr = t.lr <- lr
 
 let lr t = t.lr

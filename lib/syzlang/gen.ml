@@ -64,10 +64,10 @@ let corpus rng db ~size =
     if n >= size || guard > size * 50 then List.rev acc
     else
       let p = program rng db () in
-      let h = Prog.hash p in
-      if Hashtbl.mem seen h then collect acc n (guard + 1)
+      let fp = Prog.fingerprint p in
+      if Hashtbl.mem seen fp then collect acc n (guard + 1)
       else begin
-        Hashtbl.add seen h ();
+        Hashtbl.add seen fp ();
         collect (p :: acc) (n + 1) (guard + 1)
       end
   in

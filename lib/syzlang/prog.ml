@@ -13,8 +13,6 @@ let path_to_string p =
   Printf.sprintf "c%d.%s" p.call
     (String.concat "." (List.map string_of_int p.arg))
 
-let pp_path ppf p = Format.pp_print_string ppf (path_to_string p)
-
 (* Length fixing: a [Len i] field mirrors the length of the sibling argument
    at index [i] within the same argument list (top level or struct). *)
 
@@ -254,7 +252,10 @@ let hash t =
    the lane, with its own operations and constants; both end in a
    full-avalanche finalizer. Leaves load and store the lanes once per
    node, not once per token. *)
-type fingerprint = { mutable fp_hi : int; mutable fp_lo : int }
+type fingerprint = { fp_hi : int; fp_lo : int }
+
+(* The two lanes while the stream is absorbed. *)
+type lanes = { mutable hi : int; mutable lo : int }
 
 let[@inline] step_hi h x =
   let h = (h lxor x) * 0x3f58476d1ce4e5b9 in
@@ -265,20 +266,20 @@ let[@inline] step_lo h x =
   (h lsl 23) lor (h lsr 40)
 
 let absorb fp x =
-  fp.fp_hi <- step_hi fp.fp_hi x;
-  fp.fp_lo <- step_lo fp.fp_lo x
+  fp.hi <- step_hi fp.hi x;
+  fp.lo <- step_lo fp.lo x
 
 let absorb2 fp x y =
-  fp.fp_hi <- step_hi (step_hi fp.fp_hi x) y;
-  fp.fp_lo <- step_lo (step_lo fp.fp_lo x) y
+  fp.hi <- step_hi (step_hi fp.hi x) y;
+  fp.lo <- step_lo (step_lo fp.lo x) y
 
 let absorb3 fp x y z =
-  fp.fp_hi <- step_hi (step_hi (step_hi fp.fp_hi x) y) z;
-  fp.fp_lo <- step_lo (step_lo (step_lo fp.fp_lo x) y) z
+  fp.hi <- step_hi (step_hi (step_hi fp.hi x) y) z;
+  fp.lo <- step_lo (step_lo (step_lo fp.lo x) y) z
 
 let absorb_string fp s =
   let n = String.length s in
-  let hi = ref (step_hi fp.fp_hi n) and lo = ref (step_lo fp.fp_lo n) in
+  let hi = ref (step_hi fp.hi n) and lo = ref (step_lo fp.lo n) in
   let i = ref 0 in
   while !i < n do
     let stop = if !i + 7 < n then !i + 7 else n in
@@ -290,8 +291,8 @@ let absorb_string fp s =
     lo := step_lo !lo !w;
     i := stop
   done;
-  fp.fp_hi <- !hi;
-  fp.fp_lo <- !lo
+  fp.hi <- !hi;
+  fp.lo <- !lo
 
 let end_tag = 0
 
@@ -332,15 +333,13 @@ let finalize_lo h =
   h lxor (h lsr 31)
 
 let fingerprint t =
-  let fp = { fp_hi = 0x2d358dccaa6c78a5; fp_lo = 0x0a0761d6478bd642 } in
+  let fp = { hi = 0x2d358dccaa6c78a5; lo = 0x0a0761d6478bd642 } in
   absorb fp (Array.length t);
   for i = 0 to Array.length t - 1 do
     absorb_string fp t.(i).spec.Spec.name;
     absorb_values fp t.(i).args
   done;
-  fp.fp_hi <- finalize_hi fp.fp_hi;
-  fp.fp_lo <- finalize_lo fp.fp_lo;
-  fp
+  { fp_hi = finalize_hi fp.hi; fp_lo = finalize_lo fp.lo }
 
 let equal a b =
   Array.length a = Array.length b

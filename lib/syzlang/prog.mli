@@ -17,8 +17,6 @@ val path_compare : path -> path -> int
 
 val path_to_string : path -> string
 
-val pp_path : Format.formatter -> path -> unit
-
 (** {1 Construction} *)
 
 val make_call : Sp_util.Rng.t -> Spec.t -> call
@@ -67,19 +65,22 @@ val remove_call : t -> int -> t
 (** {1 Misc} *)
 
 val hash : t -> int
-(** Content hash for corpus deduplication. Allocates nothing. Its values
-    are stable: datasets seed RNGs with it. *)
+(** A 63-bit content hash, kept only as a stable seed value: datasets
+    seed RNGs with it and [Snowplow.Hybrid.pick_targets] orders a base's
+    targets by it, so its values must never change. Allocates nothing.
+    It is not a program identity: {!fingerprint} is. *)
 
-type fingerprint = private { mutable fp_hi : int; mutable fp_lo : int }
-(** A 126-bit program fingerprint: two independent 63-bit lanes, read-only
-    outside this module. *)
+type fingerprint = { fp_hi : int; fp_lo : int }
+(** A 126-bit program fingerprint: two independent 63-bit lanes. The
+    program identity of every dedup set and prediction cache. *)
 
 val fingerprint : t -> fingerprint
-(** One allocation-free pass over exactly what {!equal} compares — call
-    names, argument counts and every value, full string contents
-    included — whose only allocation is the result. Programs that are
+(** One pass over exactly what {!equal} compares — call names, argument
+    counts and every value, full string contents included — that
+    allocates only its lane accumulator and the result. Programs that are
     [equal] get equal fingerprints; distinct programs collide with
-    probability about 2{^-126} per pair. *)
+    probability about 2{^-126} per pair, so a set of n fingerprints holds
+    a colliding pair with probability at most n{^2}/2{^127}. *)
 
 val equal : t -> t -> bool
 

@@ -165,9 +165,10 @@ let test_per_call_coverage () =
     let union = Bitset.create num_blocks in
     List.iteri
       (fun i (tr : Kernel.call_trace) ->
-        let expect =
-          Sp_coverage.Trace.block_set ~num_blocks tr.Kernel.visited
-        in
+        let expect = Bitset.create num_blocks in
+        List.iter
+          (fun b -> if b >= 0 && b < num_blocks then Bitset.add expect b)
+          tr.Kernel.visited;
         Alcotest.(check bool) "call bitset matches its trace" true
           (Bitset.equal expect per_call.(i));
         ignore (Bitset.union_into ~dst:union per_call.(i)))

@@ -80,25 +80,37 @@ let test_corpus_dedup () =
   Alcotest.(check int) "size" 1 (Corpus.size c);
   Alcotest.(check bool) "mem_prog" true (Corpus.mem_prog c p)
 
-let test_corpus_hash_collision () =
-  (* Forge collisions with a degenerate hash: every program lands on the
-     same slot. Distinct programs must still be admitted (structural
-     confirmation), true duplicates must still be rejected. *)
-  let c = Corpus.create ~hash:(fun _ -> 42) () in
+let test_corpus_dedup_across_copy () =
+  (* Equal programs stay out and distinct programs stay in, in a corpus
+     and in its copy; the two indexes are independent afterwards. *)
   let progs = Gen.corpus (Rng.create 77) db ~size:6 in
-  let distinct = ref 0 in
-  List.iter (fun p -> if Corpus.add c (entry_of p) then incr distinct) progs;
-  let unique =
-    List.length
-      (List.sort_uniq
-         (fun a b -> if Prog.equal a b then 0 else compare (Prog.to_string a) (Prog.to_string b))
-         progs)
+  let twin p = Array.map (fun (c : Prog.call) -> { c with Prog.args = c.Prog.args }) p in
+  let c = Corpus.create () in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "distinct program admitted" true (Corpus.add c (entry_of p)))
+    progs;
+  let dup_rejected c =
+    List.iter
+      (fun p ->
+        Alcotest.(check bool) "equal program rejected" false
+          (Corpus.add c (entry_of (twin p))))
+      progs
   in
-  Alcotest.(check int) "collisions do not drop distinct programs" unique !distinct;
-  Alcotest.(check int) "all admitted entries kept" unique (Corpus.size c);
-  let p = List.hd progs in
-  Alcotest.(check bool) "duplicate still rejected" false (Corpus.add c (entry_of p));
-  Alcotest.(check bool) "mem_prog sees through collisions" true (Corpus.mem_prog c p)
+  dup_rejected c;
+  let c' = Corpus.copy c in
+  dup_rejected c';
+  Alcotest.(check int) "copy keeps every entry" (List.length progs) (Corpus.size c');
+  let fresh =
+    List.find
+      (fun p -> not (List.exists (Prog.equal p) progs))
+      (Gen.corpus (Rng.create 78) db ~size:8)
+  in
+  Alcotest.(check bool) "distinct program admitted to the copy" true
+    (Corpus.add c' (entry_of fresh));
+  Alcotest.(check bool) "original index unchanged" false (Corpus.mem_prog c fresh);
+  Alcotest.(check bool) "copy index sees it" true (Corpus.mem_prog c' fresh);
+  Alcotest.(check int) "original size unchanged" (List.length progs) (Corpus.size c)
 
 let test_corpus_choose () =
   let c = Corpus.create () in
@@ -566,7 +578,7 @@ let () =
       ( "corpus",
         [
           Alcotest.test_case "dedup" `Quick test_corpus_dedup;
-          Alcotest.test_case "forged hash collision" `Quick test_corpus_hash_collision;
+          Alcotest.test_case "dedup across copy" `Quick test_corpus_dedup_across_copy;
           Alcotest.test_case "choose" `Quick test_corpus_choose;
           Alcotest.test_case "choose_directed" `Quick test_corpus_choose_directed;
         ] );

@@ -496,7 +496,7 @@ let test_funnel_tenant_lanes () =
   let inbox1 = ep10.Snowplow.Inference.ep_poll ~now:200.0 in
   check Alcotest.int "tenant 1's inbox" 1 (List.length inbox1);
   Alcotest.(check bool) "tenant 1 got its own program back" true
-    (List.map fst inbox1 = [ prog 2 ]);
+    (List.map fst inbox1 = [ Prog.fingerprint (prog 2) ]);
   (* Per-tag service accounting sums to the service-wide counters. *)
   let r0, s0, _, _ = Snowplow.Inference.tenant_stats service ~tag:0 in
   let r1, s1, _, _ = Snowplow.Inference.tenant_stats service ~tag:1 in

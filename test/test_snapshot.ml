@@ -510,6 +510,64 @@ let snowplow_resume_matches_uninterrupted ~jobs () =
           oracle (report_bytes r))
     [ 1; 2 ]
 
+(* A snowplow snapshot's aux keeps program text only where a program
+   must be sent again — the inference queue, the funnel's outboxes and
+   its retries; every cache, memo, inbox and attempt count is keyed by a
+   32-hex-digit fingerprint. *)
+let text_allowed = function
+  | [ "inference"; "queue"; _; "prog" ]
+  | [ "funnel"; "outboxes"; _; _; "prog" ]
+  | [ "funnel"; "lanes"; _; "retries"; _; "prog" ] -> true
+  | _ -> false
+
+let is_fingerprint s =
+  String.length s = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+
+let aux_holds_text_only_where_resent ~jobs () =
+  let dir = Printf.sprintf "snap-aux-text-%d" jobs in
+  with_dir dir (fun dir ->
+      (match snowplow_run ~jobs ~snapshot_dir:dir () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "snowplow run failed: %s" e);
+      let progs = ref 0 and keys = ref 0 in
+      let rec walk path (j : Json.t) =
+        match j with
+        | Json.Str s ->
+          if s <> "" && Result.is_ok (parse s) then begin
+            incr progs;
+            if not (text_allowed path) then
+              Alcotest.failf "program text at aux.%s" (String.concat "." path)
+          end
+        | Json.Arr items -> List.iter (walk (path @ [ "*" ])) items
+        | Json.Obj fields ->
+          List.iter
+            (fun (k, v) ->
+              if k = "key" then begin
+                incr keys;
+                match v with
+                | Json.Str s when is_fingerprint s -> ()
+                | _ ->
+                  Alcotest.failf "aux.%s.key is not 32 hex digits"
+                    (String.concat "." path)
+              end
+              else walk (path @ [ k ]) v)
+            fields
+        | _ -> ()
+      in
+      let rec each barrier =
+        let file = Snapshot.path ~dir ~barrier in
+        if Sys.file_exists file then begin
+          (match Snapshot.read file with
+          | Ok doc -> walk [] (Json.Decode.field "aux" doc)
+          | Error e -> Alcotest.failf "snapshot %d unreadable: %s" barrier e);
+          each (barrier + 1)
+        end
+      in
+      each 1;
+      Alcotest.(check bool) "fingerprint keys present" true (!keys > 0);
+      Alcotest.(check bool) "queued programs kept as text" true (!progs > 0))
+
 (* ------------------------------------------------------------------ *)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -561,4 +619,8 @@ let () =
           Alcotest.test_case "snowplow resume == uninterrupted" `Slow
             (snowplow_resume_matches_uninterrupted ~jobs:2);
           Alcotest.test_case "one-job snowplow resume" `Slow
-            (snowplow_resume_matches_uninterrupted ~jobs:1) ] ) ]
+            (snowplow_resume_matches_uninterrupted ~jobs:1);
+          Alcotest.test_case "one-job text only where resent" `Quick
+            (aux_holds_text_only_where_resent ~jobs:1);
+          Alcotest.test_case "two-job text only where resent" `Quick
+            (aux_holds_text_only_where_resent ~jobs:2) ] ) ]

@@ -801,6 +801,32 @@ let test_table_renders () =
   Alcotest.(check bool) "aligned" true
     (List.for_all (fun w -> w = List.hd widths) widths)
 
+let test_table_wide_cell () =
+  (* A name wider than its header widens the whole column: every row's
+     column separators stay where the header's are. *)
+  let t = Table.create ~header:[ "counters"; "samples"; "last" ] () in
+  Table.add_row t [ "alpha/snapshot.bytes_written"; "6"; "2.41e+06" ];
+  Table.add_row t [ "pool.busy"; "120"; "0.5" ];
+  let lines =
+    String.split_on_char '\n' (Table.render t) |> List.filter (fun l -> l <> "")
+  in
+  (* Rules cross columns with '+', rows with '|'. *)
+  let bars l =
+    List.filter_map
+      (fun i -> if l.[i] = l.[0] then Some i else None)
+      (List.init (String.length l) Fun.id)
+  in
+  Alcotest.(check int) "header, body and rules" 6 (List.length lines);
+  List.iter
+    (fun l ->
+      Alcotest.(check (list int)) ("separators line up: " ^ l)
+        (bars (List.hd lines)) (bars l))
+    lines;
+  Alcotest.(check bool) "wide cell kept whole" true
+    (List.exists
+       (fun l -> String.length l > 30 && String.sub l 2 28 = "alpha/snapshot.bytes_written")
+       lines)
+
 let test_table_width_mismatch () =
   let t = Table.create ~header:[ "a"; "b" ] () in
   Alcotest.check_raises "row width checked"
@@ -950,6 +976,7 @@ let () =
       ( "table",
         [
           Alcotest.test_case "renders aligned" `Quick test_table_renders;
+          Alcotest.test_case "wide cell" `Quick test_table_wide_cell;
           Alcotest.test_case "width mismatch" `Quick test_table_width_mismatch;
         ] );
       ( "plot",
